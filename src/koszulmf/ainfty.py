@@ -39,8 +39,9 @@ class Inconsistent(ValueError):
 class Cyc:
     """An exact coefficient q * zeta^exp with zeta a primitive root of
     unity of the given order.  Sums are only formed between terms with
-    equal exponents (which is all the checker ever needs); anything else
-    raises, loudly, instead of leaving exact arithmetic.
+    equal exponents; anything else raises, loudly, instead of leaving
+    exact arithmetic.  `check_stasheff` keeps its totals per exponent
+    and decides zero in Q(zeta) itself.
     """
 
     mag: Fraction
@@ -139,15 +140,76 @@ def _tail_sign(zdeg, tail):
     return -1 if star % 2 else 1
 
 
+def _poly_divmod(num, den):
+    """Quotient and remainder of num by the monic den (coefficients, constant first)."""
+    num = list(num)
+    quot = [0] * max(len(num) - len(den) + 1, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        c = num[i + len(den) - 1]
+        if c:
+            quot[i] = c
+            for j, d in enumerate(den):
+                num[i + j] -= c * d
+    return quot, num[:len(den) - 1]
+
+
+def _cyclotomic(m):
+    """Integer coefficients, constant first, of the m-th cyclotomic polynomial."""
+    poly = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            poly = _poly_divmod(poly, _cyclotomic(d))[0]
+    return poly
+
+
+def _add_term(totals, m, tup, out, term):
+    """Add term to totals[(m, tup, out, exp)], exp its root-of-unity exponent."""
+    exp, mag = (term.exp, term.mag) if isinstance(term, Cyc) else (0, term)
+    key = (m, tup, out, exp)
+    totals[key] = totals.get(key, 0) + mag
+
+
+def _total(by_exp, order, phi):
+    """The value of an identity from its per-exponent magnitudes.
+
+    Without roots of unity (order None) it is the plain sum.  Otherwise
+    it is the tuple of nonzero Cyc terms, by ascending exponent, and it
+    is empty exactly when sum_e by_exp[e] zeta^e vanishes in Q(zeta):
+    the polynomial is reduced modulo phi, the cyclotomic polynomial of
+    the order, so 1 + zeta + zeta^2 counts as zero for order 3.
+    """
+    if order is None:
+        return by_exp.get(0, 0)
+    terms = tuple(Cyc(c, e, order) for e, c in sorted(by_exp.items()))
+    if len(terms) < 2:
+        return terms
+    poly = [0] * order
+    for e, c in by_exp.items():
+        poly[e] = c
+    _, rem = _poly_divmod(poly, phi)
+    return terms if any(rem) else ()
+
+
 def check_stasheff(alg, max_arity, exhaustive=False):
     """Violated Stasheff identities up to the given composed arity.
 
     Returns a sorted list of (arity, input tuple, output label, total);
-    empty means consistent.  The default mode joins stored entries
-    pairwise, which reaches every instance with at least one nonzero
-    term; exhaustive=True scans all basis tuples instead (only sensible
-    for small algebras, used as an oracle for the join).
+    empty means consistent.  The total is a plain sum for rational
+    coefficients; for `Cyc` coefficients it is a tuple of Cyc terms with
+    distinct exponents, and an identity counts as violated only when that
+    sum is nonzero in the cyclotomic field.  The default mode joins
+    stored entries pairwise, which reaches every instance with at least
+    one nonzero term; exhaustive=True scans all basis tuples instead
+    (only sensible for small algebras, used as an oracle for the join).
     """
+    orders = {
+        c.order for table in alg.ops.values() for c in table.values()
+        if isinstance(c, Cyc)
+    }
+    if len(orders) > 1:
+        raise ValueError("mixed root-of-unity orders")
+    order = orders.pop() if orders else None
+    phi = _cyclotomic(order) if order else None
     totals = {}
     if exhaustive:
         for m in range(1, max_arity + 1):
@@ -169,8 +231,8 @@ def check_stasheff(alg, max_arity, exhaustive=False):
                                 c_out = tout.get((out, outer))
                                 if not c_out:
                                     continue
-                                key = (m, tup, out)
-                                totals[key] = totals.get(key, 0) + sign * (c_out * c_in)
+                                _add_term(totals, m, tup, out,
+                                          sign * (c_out * c_in))
     else:
         by_label = {}
         for k_out, tout in alg.ops.items():
@@ -189,9 +251,16 @@ def check_stasheff(alg, max_arity, exhaustive=False):
                         continue
                     tup = ins[:p] + inner + ins[p + 1:]
                     sign = _tail_sign(alg.zdeg, ins[p + 1:])
-                    key = (m, tup, out)
-                    totals[key] = totals.get(key, 0) + sign * (c_out * c_in)
-    violations = [(m, tup, out, v) for (m, tup, out), v in totals.items() if v]
+                    _add_term(totals, m, tup, out, sign * (c_out * c_in))
+    by_identity = {}
+    for (m, tup, out, exp), mag in totals.items():
+        if mag:
+            by_identity.setdefault((m, tup, out), {})[exp] = mag
+    violations = []
+    for (m, tup, out), by_exp in by_identity.items():
+        total = _total(by_exp, order, phi)
+        if total:
+            violations.append((m, tup, out, total))
     violations.sort(key=lambda rec: (rec[0], rec[1], rec[2]))
     return violations
 

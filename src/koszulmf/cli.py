@@ -3,10 +3,11 @@
 Each subcommand prints one JSON report on stdout (sorted keys, so
 output is byte-identical between runs except for the wall-time field)
 and a one-line summary on stderr.  Exit status: 0 when every requested
-check passes, 1 when a check fails, 2 on usage or precondition errors.
+check passes, 1 when a check fails, 2 on usage or precondition errors,
+3 on an internal error (an invariant of the computation failed).
 Exact rationals are rendered "num/den"; float-based geometric checks
-carry an explicit tolerance field.  Checks always run sequentially in a
-fixed order; --threads is accepted for interface stability.
+carry an explicit tolerance field.  Checks run sequentially in a fixed
+order.
 """
 
 import argparse
@@ -506,12 +507,6 @@ _HANDLERS = {
 def _build_parser():
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="accepted for compatibility; checks run sequentially",
-    )
-    shared.add_argument(
         "--tolerance",
         type=float,
         default=1e-9,
@@ -596,9 +591,12 @@ def main(argv=None):
     params = _echo_parameters(args)
     try:
         results, ok = _HANDLERS[args.command](args)
-    except (ValueError, OSError, KeyError, RuntimeError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"{args.command}: error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"{args.command}: internal error: {exc}", file=sys.stderr)
+        return 3
     digest = hashlib.sha256(
         json.dumps(
             {"command": args.command, "parameters": params, "version": __version__},

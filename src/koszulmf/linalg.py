@@ -2,17 +2,19 @@
 
 Everything here works with `fractions.Fraction` coefficients, so ranks,
 kernels and homology are exact.  Matrices are sparse (dict keyed by
-(row, col)); reduction uses a fixed pivoting rule so that repeated runs
-produce identical output.
+(row, col)).
 
-The main consumers are the bigraded pieces of the operator algebra and
-the zonotope cell complex, both of which are small enough that dense
-fallbacks are never needed.
+There is one elimination kernel, `LinSolver`: incremental elimination
+over columns in their given order.  One pass gives the independent
+columns, the canonical kernel and a solver for many right-hand sides;
+`reduce` and `homology_ranks` are built on it.  There is one
+contraction, `Contraction`, the per-degree splitting the transfer in
+`minimal` uses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 ZERO = Fraction(0)
@@ -175,77 +177,23 @@ class SparseMatrix:
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
 
 
-def _rref_rows(row_dicts, ncols):
-    """Reduced row echelon form of a list of sparse rows, in place.
-
-    Pivots are chosen deterministically: columns are scanned in
-    ascending order and the first remaining row with a nonzero entry in
-    the column becomes the pivot.  Returns the list of pivot columns;
-    after the call row i (for i < rank) is the row with pivot column
-    pivots[i], normalized to a leading 1 and fully back-eliminated.
-    """
-    pivots = []
-    nrows = len(row_dicts)
-    cur = 0
-    for col in range(ncols):
-        sel = None
-        for r in range(cur, nrows):
-            if row_dicts[r].get(col):
-                sel = r
-                break
-        if sel is None:
-            continue
-        row_dicts[cur], row_dicts[sel] = row_dicts[sel], row_dicts[cur]
-        piv = row_dicts[cur]
-        inv = ONE / piv[col]
-        if inv != 1:
-            for k in list(piv):
-                piv[k] *= inv
-        for r in range(nrows):
-            if r == cur:
-                continue
-            factor = row_dicts[r].get(col)
-            if not factor:
-                continue
-            target = row_dicts[r]
-            for k, v in piv.items():
-                newv = target.get(k, ZERO) - factor * v
-                if newv:
-                    target[k] = newv
-                else:
-                    target.pop(k, None)
-        pivots.append(col)
-        cur += 1
-        if cur == nrows:
-            break
-    return pivots
-
-
 def reduce(matrix):
     """Echelon data of a matrix: (rank, kernel_basis, pivot_columns).
 
-    The kernel basis is the standard one read off the reduced row
-    echelon form: one vector per free column f, with entry 1 at f and
-    -R[i, f] at the i-th pivot column.  Vectors are returned as dense
-    lists of Fractions, ordered by ascending free column, so the output
-    is canonical (RREF is unique).
+    A thin wrapper over `LinSolver` on the columns.  The kernel basis has
+    one vector per free column f, with entry 1 at f and support otherwise
+    on the pivot columns before f; that vector is unique, so it is the
+    one read off the reduced row echelon form.  Vectors are dense lists
+    of Fractions, ordered by ascending free column.
     """
-    rows = matrix.row_dicts()
-    pivots = _rref_rows(rows, matrix.cols)
-    rank = len(pivots)
-    pivot_set = set(pivots)
+    solver = LinSolver(matrix.columns())
     kernel = []
-    for f in range(matrix.cols):
-        if f in pivot_set:
-            continue
-        vec = [ZERO] * matrix.cols
-        vec[f] = ONE
-        for i, p in enumerate(pivots):
-            coef = rows[i].get(f)
-            if coef:
-                vec[p] = -coef
-        kernel.append(vec)
-    return rank, kernel, list(pivots)
+    for vec in solver.kernel.values():
+        dense = [ZERO] * matrix.cols
+        for i, v in vec.items():
+            dense[i] = v
+        kernel.append(dense)
+    return len(solver.pivots), kernel, solver.pivots
 
 
 @dataclass
@@ -289,230 +237,54 @@ def homology_ranks(piece):
     return out
 
 
-@dataclass
-class Contraction:
-    """Contraction data (i, p, h) of a bounded complex onto its homology.
-
-    Per degree k: inject[k] maps homology coordinates into space k,
-    project[k] goes the other way, and homotopy[k] maps space k to space
-    k-1 (homotopy[0] is the zero map).  The five identities
-
-        p i = 1,  d h + h d = 1 - i p,  h i = 0,  p h = 0,  h h = 0
-
-    hold exactly; tests verify them by matrix multiplication.
-    """
-
-    piece: ChainComplexPiece
-    homology_dims: list
-    inject: list
-    project: list
-    homotopy: list
-
-
-def _extend_in_order(base_cols, nrows, candidates):
-    """Greedily extend independent columns by candidates, in order.
-
-    Returns the indices of accepted candidates.  Membership is tested by
-    incremental elimination, so the result is deterministic.
-    """
-    reduced = []  # list of (pivot_row, column dict with leading 1)
-    def absorb(col):
-        col = dict(col)
-        for prow, pcol in reduced:
-            f = col.get(prow)
-            if f:
-                for r, v in pcol.items():
-                    newv = col.get(r, ZERO) - f * v
-                    if newv:
-                        col[r] = newv
-                    else:
-                        col.pop(r, None)
-        if not col:
-            return False
-        prow = min(col)
-        inv = ONE / col[prow]
-        if inv != 1:
-            col = {r: v * inv for r, v in col.items()}
-        reduced.append((prow, col))
-        return True
-
-    for col in base_cols:
-        if not absorb(col):
-            raise ValueError("base columns are dependent")
-    accepted = []
-    for idx, col in enumerate(candidates):
-        if absorb(col):
-            accepted.append(idx)
-    return accepted
-
-
-def _invert(matrix):
-    """Inverse of a square SparseMatrix via augmented reduction."""
-    n = matrix.rows
-    rows = matrix.row_dicts()
-    aug = [dict(row) for row in rows]
-    for r in range(n):
-        aug[r][n + r] = ONE
-    pivots = _rref_rows(aug, 2 * n)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    entries = {}
-    for r in range(n):
-        for c, v in aug[r].items():
-            if c >= n and v:
-                entries[(r, c - n)] = v
-    return SparseMatrix(n, n, entries)
-
-
-def build_contraction(piece, forced=None):
-    """Deterministic contraction of a bounded complex onto its homology.
-
-    Per degree the space is split as im(d) + harmonic + complement:
-    the image basis consists of d applied to the standard basis vectors
-    at the pivot columns one degree down, the harmonic basis extends it
-    inside ker(d) by scanning the canonical kernel basis in order, and
-    the complement is spanned by the standard basis vectors at the pivot
-    columns of the outgoing map.  h inverts d from the complement onto
-    the image and vanishes elsewhere; a final h -> h d h pass enforces
-    the side conditions (a no-op for this splitting, kept to match the
-    documented construction).
-
-    forced, if given, maps a degree to a list of sparse columns (dict
-    row -> Fraction) to use as the leading harmonic representatives at
-    that degree.  Forced columns must be cycles independent of the
-    image, else ValueError.
-    """
-    piece.check_composes_to_zero()
-    forced = forced or {}
-    ndeg = len(piece.dims)
-    # Echelon data of every map.
-    red = []
-    for m in piece.maps:
-        rank, kernel, pivots = reduce(m)
-        red.append({"rank": rank, "kernel": kernel, "pivots": pivots, "mat": m})
-    inject, project, homotopy = [], [], []
-    hdims = []
-    im_data = []  # per degree: list of (source pivot column, image column dict)
-    for k in range(ndeg):
-        dim = piece.dims[k]
-        if k > 0:
-            below = red[k - 1]
-            im_cols = [
-                (c, below["mat"].column(c)) for c in below["pivots"]
-            ]
-        else:
-            im_cols = []
-        im_data.append(im_cols)
-        if k < ndeg - 1:
-            here = red[k]
-            kernel_cols = [
-                {i: v for i, v in enumerate(vec) if v} for vec in here["kernel"]
-            ]
-            compl_cols = [c for c in here["pivots"]]
-        else:
-            kernel_cols = [{i: ONE} for i in range(dim)]
-            compl_cols = []
-        base = [col for _, col in im_cols]
-        forced_cols = [
-            {r: Fraction(v) for r, v in col.items() if v}
-            for col in forced.get(k, [])
-        ]
-        if k < ndeg - 1:
-            for col in forced_cols:
-                if piece.maps[k].apply(col):
-                    raise ValueError(f"forced column at degree {k} is not a cycle")
-        try:
-            harm_idx = _extend_in_order(base + forced_cols, dim, kernel_cols)
-        except ValueError:
-            raise ValueError(
-                f"forced columns at degree {k} are dependent with the image"
-            )
-        harm_cols = forced_cols + [kernel_cols[i] for i in harm_idx]
-        hdims.append(len(harm_cols))
-        # Assemble the square change of basis [im | harm | compl].
-        columns = base + harm_cols + [{c: ONE} for c in compl_cols]
-        if len(columns) != dim:
-            raise ValueError("splitting does not span the space")
-        basis = SparseMatrix.from_columns(dim, columns)
-        inv = _invert(basis) if dim else SparseMatrix.zero(0, 0)
-        n_im = len(base)
-        n_h = len(harm_cols)
-        inject.append(
-            SparseMatrix.from_columns(dim, harm_cols)
-            if n_h
-            else SparseMatrix.zero(dim, 0)
-        )
-        proj_entries = {
-            (r - n_im, c): v
-            for (r, c), v in inv.entries.items()
-            if n_im <= r < n_im + n_h
-        }
-        project.append(SparseMatrix(n_h, dim, proj_entries))
-        if k == 0:
-            homotopy.append(SparseMatrix.zero(0, dim))
-        else:
-            # h sends the im-coordinate i back to the source pivot column.
-            prev_dim = piece.dims[k - 1]
-            inv_rows = inv.row_dicts()
-            h_entries = {}
-            for i, (src_col, _) in enumerate(im_data[k]):
-                for c, v in inv_rows[i].items():
-                    h_entries[(src_col, c)] = v
-            homotopy.append(SparseMatrix(prev_dim, dim, h_entries))
-    # Side conditions via h -> h d h.
-    massaged = list(homotopy)
-    for k in range(1, ndeg):
-        # (h d h)_k = h_k o d_{k-1} o h_k
-        massaged[k] = homotopy[k] * piece.maps[k - 1] * homotopy[k]
-    return Contraction(piece, hdims, inject, project, massaged)
-
-
 class LinSolver:
-    """Repeated exact solves against a fixed sparse column set.
+    """Exact incremental elimination over a fixed list of sparse columns.
 
-    The columns are mutually reduced once, with the change of basis
-    recorded, so that solve(rhs) can express rhs in terms of the
-    *original* columns.  solve returns (coefficients, ok); ok is False
-    when rhs lies outside the span.  Used for the per-piece homotopy and
-    projection of the operator complex, where one system is solved for
-    many right-hand sides.
+    Columns are taken in the given order.  Each one is reduced against
+    the stored columns in the order they were stored, and is then stored
+    itself with a leading 1 at its pivot row; stored columns are never
+    touched again.  A column that reduces to zero depends on the earlier
+    ones, and its expression in them is kept as a kernel vector: 1 at
+    its own index, support otherwise on earlier independent columns.
+
+    pivots lists the independent columns and kernel maps each dependent
+    column to its kernel vector, both in ascending order.  solve(rhs)
+    walks the stored columns in the same order and returns
+    (coefficients, ok): coefficients over the original columns, zero at
+    the dependent ones, and ok False when rhs lies outside their span.
     """
 
-    __slots__ = ("ncols", "_pivrows", "_cols", "_exprs")
+    __slots__ = ("ncols", "pivots", "kernel", "_steps")
 
     def __init__(self, columns):
         self.ncols = len(columns)
-        self._pivrows = []
-        self._cols = []   # reduced columns: 1 at own pivot row, 0 at the others
-        self._exprs = []  # reduced column j = sum_i exprs[j][i] * original column i
+        self.pivots = []
+        self.kernel = {}
+        # (pivot row, reduced column, its expression in the original columns)
+        self._steps = []
         for idx, col in enumerate(columns):
             col = {r: Fraction(v) for r, v in col.items() if v}
             expr = {idx: ONE}
-            for prow, stored, sexpr in zip(self._pivrows, self._cols, self._exprs):
+            for prow, stored, sexpr in self._steps:
                 f = col.get(prow)
                 if f:
                     _axpy(col, stored, -f)
                     _axpy(expr, sexpr, -f)
             if not col:
-                raise ValueError("dependent column passed to LinSolver")
+                self.kernel[idx] = expr
+                continue
             prow = min(col)
             inv = ONE / col[prow]
             if inv != 1:
                 col = {r: v * inv for r, v in col.items()}
                 expr = {r: v * inv for r, v in expr.items()}
-            for stored, sexpr in zip(self._cols, self._exprs):
-                f = stored.get(prow)
-                if f:
-                    _axpy(stored, col, -f)
-                    _axpy(sexpr, expr, -f)
-            self._pivrows.append(prow)
-            self._cols.append(col)
-            self._exprs.append(expr)
+            self._steps.append((prow, col, expr))
+            self.pivots.append(idx)
 
     def solve(self, rhs):
         vec = {r: Fraction(v) for r, v in rhs.items() if v}
         out = {}
-        for prow, col, expr in zip(self._pivrows, self._cols, self._exprs):
+        for prow, col, expr in self._steps:
             f = vec.get(prow)
             if f:
                 _axpy(vec, col, -f)
@@ -521,6 +293,52 @@ class LinSolver:
         for i, v in out.items():
             coefs[i] = v
         return coefs, not vec
+
+
+class Contraction:
+    """Contraction of one degree of a bounded cochain complex onto its cohomology.
+
+    The space splits as im(d_in) + harmonic + complement.  The complement
+    is spanned by the standard basis vectors at the pivot columns of the
+    outgoing map, so a vector x projects onto ker(d_out) along it as
+    sum_f x_f kernel[f] over the free columns f.  That cycle is then
+    written in the harmonic columns and the incoming image columns:
+
+        x = sum_a alpha_a harmonic_a + sum_i c_i d(e_sources[i]) + complement
+
+    split(x) returns (alpha, {sources[i]: c_i}): p(x) as a list of harmonic
+    coefficients, and h(x) as a sparse vector one degree down.  The
+    homotopy h inverts d from the complement one degree down onto the
+    image and vanishes on the harmonic and complement parts, so the
+    identities p i = 1, d h + h d = 1 - i p, h i = p h = h h = 0 hold by
+    construction (Crainic, arXiv math/0403266); tests check them.
+
+    Raises ValueError when the harmonic and image columns are dependent,
+    and from split when the cycle part of x is outside their span.
+    """
+
+    __slots__ = ("kernel", "nharm", "sources", "_solver")
+
+    def __init__(self, kernel, harmonic, image, sources):
+        self.kernel = kernel
+        self.nharm = len(harmonic)
+        self.sources = list(sources)
+        self._solver = LinSolver(list(harmonic) + list(image))
+        if self._solver.kernel:
+            raise ValueError("harmonic and image columns are dependent")
+
+    def split(self, vec):
+        cycle = {}
+        for f, kvec in self.kernel.items():
+            c = vec.get(f)
+            if c:
+                _axpy(cycle, kvec, c)
+        coefs, ok = self._solver.solve(cycle)
+        if not ok:
+            raise ValueError("cycle failed to decompose")
+        nharm = self.nharm
+        pre = {src: c for src, c in zip(self.sources, coefs[nharm:]) if c}
+        return coefs[:nharm], pre
 
 
 def _axpy(target, source, factor):

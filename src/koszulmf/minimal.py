@@ -6,8 +6,9 @@ exterior algebra on n+2 odd generators, one per variable; this module
 
   * builds explicit cocycle representatives dbar_j and their ordered
     products dbar_K,
-  * contracts every piece it touches onto its cohomology with exact
-    linear algebra (lazily, one solver per piece),
+  * contracts every piece it touches onto its cohomology, lazily, with
+    one `linalg.Contraction` per piece (the harmonic line is spanned by
+    the dbar product of its exterior label),
   * runs the homological-perturbation tree sum to transfer the product
     to A-infinity operations mu^k on the exterior basis {e_K}.
 
@@ -36,7 +37,7 @@ from .lattice import (
     homogeneity_defect,
     size,
 )
-from .linalg import ChainComplexPiece, LinSolver, SparseMatrix, build_contraction, reduce
+from .linalg import Contraction, LinSolver
 from .weyl import (
     MFConfig,
     OperatorElement,
@@ -109,20 +110,6 @@ def dbar_product(kmask, choice, cfg):
     return out
 
 
-class _Piece:
-    """Solver data for one bigraded piece (lazy, built on first use)."""
-
-    __slots__ = ("basis", "index", "kernel", "solver", "harm_mask", "im_sources")
-
-    def __init__(self, basis, index, kernel, solver, harm_mask, im_sources):
-        self.basis = basis
-        self.index = index
-        self.kernel = kernel        # free column -> sparse kernel vector
-        self.solver = solver        # columns: [rep?] + image columns
-        self.harm_mask = harm_mask  # K0 bitmask of the harmonic line, or None
-        self.im_sources = im_sources  # basis indices one degree down
-
-
 class _Engine:
     """Shared caches for one (cfg, choice): pieces, blocks, products."""
 
@@ -152,27 +139,20 @@ class _Engine:
         return hit
 
     def outgoing(self, key):
-        """Echelon data of d out of the piece: (rank, kernel, pivots, columns)."""
+        """Elimination of d out of the piece: (rank, kernel, pivots, columns)."""
         hit = self._outred.get(key)
         if hit is None:
             wrep, qnum = key
             basis, _ = self.basis(key)
-            tbasis, tindex = self.basis((wrep, qnum + self.step))
+            _, tindex = self.basis((wrep, qnum + self.step))
             cols = []
             for mono in basis:
                 img = differential(
                     OperatorElement(self.cfg, {mono: ONE}), self.cfg
                 )
                 cols.append({tindex[m]: c for m, c in img.terms.items()})
-            mat = SparseMatrix.from_columns(len(tbasis), cols)
-            rank, kernel, pivots = reduce(mat)
-            pivset = set(pivots)
-            frees = [c for c in range(len(basis)) if c not in pivset]
-            kern = {
-                f: {i: v for i, v in enumerate(vec) if v}
-                for f, vec in zip(frees, kernel)
-            }
-            hit = (rank, kern, pivots, cols)
+            solver = LinSolver(cols)
+            hit = (len(solver.pivots), solver.kernel, solver.pivots, cols)
             self._outred[key] = hit
         return hit
 
@@ -196,14 +176,15 @@ class _Engine:
         return hit
 
     def piece(self, key):
+        """The piece's contraction and the K0 of its harmonic line (or None)."""
         hit = self._pieces.get(key)
         if hit is None:
             wrep, qnum = key
             basis, index = self.basis(key)
             rank_out, kernel, _, _ = self.outgoing(key)
-            below_key = (wrep, qnum - self.step)
-            below_basis, _ = self.basis(below_key)
-            rank_prev, _, prev_pivots, prev_cols = self.outgoing(below_key)
+            rank_prev, _, prev_pivots, prev_cols = self.outgoing(
+                (wrep, qnum - self.step)
+            )
             harm_mask = self.exterior_label(key)
             hdim = len(basis) - rank_out - rank_prev
             if hdim != (0 if harm_mask is None else 1):
@@ -211,15 +192,18 @@ class _Engine:
                     f"piece {key} has cohomology dimension {hdim}, "
                     f"expected {'0' if harm_mask is None else '1'}"
                 )
-            columns = []
+            harmonic = []
             if harm_mask is not None:
                 r = self.rep(harm_mask)
                 if not differential(r, self.cfg).is_zero():
                     raise RuntimeError("representative is not a cocycle")
-                columns.append({index[m]: c for m, c in r.terms.items()})
-            columns.extend(prev_cols[c] for c in prev_pivots)
-            solver = LinSolver(columns)
-            hit = _Piece(basis, index, kernel, solver, harm_mask, prev_pivots)
+                harmonic.append({index[m]: c for m, c in r.terms.items()})
+            image = [prev_cols[c] for c in prev_pivots]
+            try:
+                con = Contraction(kernel, harmonic, image, prev_pivots)
+            except ValueError as exc:
+                raise RuntimeError(f"piece {key}: {exc}") from exc
+            hit = (con, harm_mask)
             self._pieces[key] = hit
         return hit
 
@@ -230,32 +214,18 @@ class _Engine:
         distinguished complement; the component of x outside ker(d) is
         discarded, which is exactly what both p and h do to it.
         """
-        pc = self.piece(key)
-        vec = {pc.index[m]: c for m, c in x.terms.items()}
-        kp = {}
-        for f, kvec in pc.kernel.items():
-            c = vec.get(f)
-            if c:
-                for r, v in kvec.items():
-                    cur = kp.get(r, ZERO) + c * v
-                    if cur:
-                        kp[r] = cur
-                    else:
-                        kp.pop(r, None)
-        coefs, ok = pc.solver.solve(kp)
-        if not ok:
-            raise RuntimeError(f"piece {key}: cycle failed to decompose")
-        nharm = 0 if pc.harm_mask is None else 1
-        alpha = {}
-        if nharm and coefs[0]:
-            alpha[pc.harm_mask] = coefs[0]
+        con, harm_mask = self.piece(key)
+        _, index = self.basis(key)
+        try:
+            harm, pre = con.split({index[m]: c for m, c in x.terms.items()})
+        except ValueError as exc:
+            raise RuntimeError(f"piece {key}: {exc}") from exc
+        alpha = {harm_mask: harm[0]} if harm and harm[0] else {}
         wrep, qnum = key
-        below_basis, _ = self.basis((wrep, qnum - self.step))
-        terms = {}
-        for coef, src in zip(coefs[nharm:], pc.im_sources):
-            if coef:
-                terms[below_basis[src]] = coef
-        return alpha, OperatorElement(self.cfg, terms)
+        below, _ = self.basis((wrep, qnum - self.step))
+        return alpha, OperatorElement(
+            self.cfg, {below[src]: c for src, c in pre.items()}
+        )
 
     # -- transfer tree sum --------------------------------------------
 
@@ -362,33 +332,6 @@ def cohomology_dim(w, q, cfg):
     rank_out = eng.outgoing(key)[0]
     rank_prev = eng.outgoing((key[0], key[1] - eng.step))[0]
     return len(basis) - rank_out - rank_prev
-
-
-def contraction_for_piece(w, q, cfg, choice=None):
-    """Contraction of the three-term complex centred on the piece (w, q).
-
-    The middle homology basis is forced onto the ordered dbar products,
-    so inject at degree 1 hits the chosen cocycle representatives.
-    """
-    eng = _engine(cfg, choice)
-    qnum = Fraction(q) * cfg.nvars
-    if qnum.denominator != 1:
-        raise ValueError(f"degree {q} is not a multiple of 1/{cfg.nvars}")
-    qnum = int(qnum)
-    keys = [(w.rep, qnum - eng.step), (w.rep, qnum), (w.rep, qnum + eng.step)]
-    bases = [eng.basis(k)[0] for k in keys]
-    maps = []
-    for src in keys[:2]:
-        cols = eng.outgoing(src)[3]
-        maps.append(SparseMatrix.from_columns(len(eng.basis((src[0], src[1] + eng.step))[0]), cols))
-    piece = ChainComplexPiece([len(b) for b in bases], maps)
-    forced = {}
-    label = eng.exterior_label(keys[1])
-    if label is not None:
-        _, index = eng.basis(keys[1])
-        r = eng.rep(label)
-        forced[1] = [{index[m]: c for m, c in r.terms.items()}]
-    return build_contraction(piece, forced=forced)
 
 
 def minimal_mu(k, inputs, cfg, choice=None, arity_bound=None):

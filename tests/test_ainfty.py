@@ -77,6 +77,33 @@ def test_checker_flags_a_flipped_sign():
         assert arity == 3 and total != 0
 
 
+def _cancelling_cyc_algebra(last):
+    # the one arity-3 identity has the three terms 1, zeta and last * zeta^2
+    z = lambda mag, exp: Cyc(F(mag), exp, 3)
+    basis = ["x", "y", "z", "m1", "m2", "m3", "o"]
+    ops = {2: {
+        ("m1", ("x", "y")): z(1, 0),
+        ("m2", ("x", "y")): z(1, 1),
+        ("o", ("m1", "z")): z(1, 0),
+        ("o", ("m2", "z")): z(1, 0),
+        ("m3", ("y", "z")): z(1, 0),
+        ("o", ("x", "m3")): z(last, 2),
+    }}
+    return FiniteAInftyAlgebra(basis, {b: 1 for b in basis}, ops)
+
+
+def test_checker_cancels_through_cyclotomic_relation():
+    alg = _cancelling_cyc_algebra(1)
+    assert check_stasheff(alg, 3) == []
+    assert check_stasheff(alg, 3, exhaustive=True) == []
+    broken = _cancelling_cyc_algebra(2)
+    joined = check_stasheff(broken, 3)
+    assert joined == check_stasheff(broken, 3, exhaustive=True)
+    assert joined == [(3, ("x", "y", "z"), "o", (
+        Cyc(F(1), 0, 3), Cyc(F(1), 1, 3), Cyc(F(2), 2, 3),
+    ))]
+
+
 def test_model_passes_stasheff(alg_n1):
     alg_n1.validate_graded()
     # tables at arity 2, 3, 4 decide every identity up to arity 5
@@ -274,6 +301,21 @@ def test_smash_with_sum_map_passes_stasheff(alg_n1):
     assert sm.dim() == 24
     sm.validate_graded()
     assert check_stasheff(sm, 4) == []
+
+
+def test_checker_reports_a_zeta_twisted_smash_entry():
+    # terms of one identity then carry different exponents; they are
+    # reported, not added as Cyc
+    alg = from_minimal_model(build_minimal_model(MFConfig(1), arities=(2,)))
+    sm = smash(alg, _sum_map_group(1))
+    assert check_stasheff(sm, 3) == []
+    key = ((0b011, (2,)), ((0b001, (1,)), (0b010, (1,))))
+    sm.ops[2][key] = sm.ops[2][key] * Cyc(F(1), 1, 3)
+    violations = check_stasheff(sm, 3)
+    assert violations
+    for arity, _, _, total in violations:
+        assert arity == 3
+        assert total and all(isinstance(t, Cyc) and t for t in total)
 
 
 def test_smash_twist_exponent_is_visible(alg_n1):

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from koszulmf import cli
 from koszulmf.cli import main
 
 
@@ -38,6 +39,19 @@ def test_usage_and_precondition_errors(capsys):
     assert run_cli(["rnc", "--n", "1", "--pphi", "1,-2,1"], capsys)[0] == 2
     assert run_cli(["minimal-model", "--n", "1", "--a-weights", "1,1,1"],
                    capsys)[0] == 2
+    assert run_cli(["hkr", "--n", "2", "--r", "2", "--t", "-2",
+                    "--threads", "2"], capsys)[0] == 2  # no such option
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("piece has cohomology dimension 2, expected 1")
+
+    monkeypatch.setitem(cli._HANDLERS, "hkr", broken)
+    code, out, err = run_cli(["hkr", "--n", "2", "--r", "2", "--t", "-2"], capsys)
+    assert code == 3
+    assert out == ""
+    assert "internal error" in err
 
 
 def test_report_determinism(capsys):

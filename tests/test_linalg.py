@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -7,15 +8,82 @@ from hypothesis import strategies as st
 
 from koszulmf.linalg import (
     ChainComplexPiece,
+    Contraction,
     LinSolver,
     NotAComplex,
     SparseMatrix,
-    build_contraction,
     homology_ranks,
     reduce,
 )
 
 F = Fraction
+ZERO = F(0)
+ONE = F(1)
+
+
+def _rref_rows(row_dicts, ncols):
+    """Reduced row echelon form of a list of sparse rows, in place.
+
+    An independent row elimination, the reference that `reduce` (column
+    elimination in `LinSolver`) is compared against.  Columns are
+    scanned in ascending order and the first remaining row with a
+    nonzero entry becomes the pivot.  Returns the pivot columns; row i
+    (i < rank) ends normalized to a leading 1 at pivots[i] and fully
+    back-eliminated.
+    """
+    pivots = []
+    nrows = len(row_dicts)
+    cur = 0
+    for col in range(ncols):
+        sel = None
+        for r in range(cur, nrows):
+            if row_dicts[r].get(col):
+                sel = r
+                break
+        if sel is None:
+            continue
+        row_dicts[cur], row_dicts[sel] = row_dicts[sel], row_dicts[cur]
+        piv = row_dicts[cur]
+        inv = ONE / piv[col]
+        if inv != 1:
+            for k in list(piv):
+                piv[k] *= inv
+        for r in range(nrows):
+            if r == cur:
+                continue
+            factor = row_dicts[r].get(col)
+            if not factor:
+                continue
+            target = row_dicts[r]
+            for k, v in piv.items():
+                newv = target.get(k, ZERO) - factor * v
+                if newv:
+                    target[k] = newv
+                else:
+                    target.pop(k, None)
+        pivots.append(col)
+        cur += 1
+        if cur == nrows:
+            break
+    return pivots
+
+
+def _rref_reduce(matrix):
+    """(rank, kernel, pivots) read off the RREF, in the format of reduce."""
+    rows = matrix.row_dicts()
+    pivots = _rref_rows(rows, matrix.cols)
+    kernel = []
+    for f in range(matrix.cols):
+        if f in pivots:
+            continue
+        vec = [ZERO] * matrix.cols
+        vec[f] = ONE
+        for i, p in enumerate(pivots):
+            coef = rows[i].get(f)
+            if coef:
+                vec[p] = -coef
+        kernel.append(vec)
+    return len(pivots), kernel, pivots
 
 
 def test_reduce_identity():
@@ -72,6 +140,23 @@ def test_reduce_properties(rows, cols, seed):
     for vec in kernel:
         image = m.apply({i: v for i, v in enumerate(vec) if v})
         assert image == {}
+    assert (rank, kernel, pivots) == _rref_reduce(m)
+
+
+def test_reduce_matches_rref_on_all_small_sign_matrices():
+    for values in product((-1, 0, 1), repeat=6):
+        m = SparseMatrix.from_rows([values[:3], values[3:]])
+        assert reduce(m) == _rref_reduce(m)
+
+
+def test_linsolver_records_dependent_columns():
+    cols = [{0: F(1)}, {0: F(2)}, {1: F(1)}, {0: F(1), 1: F(-3)}]
+    solver = LinSolver(cols)
+    assert solver.pivots == [0, 2]
+    assert solver.kernel == {1: {1: F(1), 0: F(-2)}, 3: {3: F(1), 0: F(-1), 2: F(3)}}
+    coefs, ok = solver.solve({0: F(5), 1: F(7)})
+    assert ok
+    assert coefs == [F(5), F(0), F(7), F(0)]
 
 
 def test_homology_two_term_acyclic():
@@ -112,45 +197,89 @@ def _random_complex(seed):
     return ChainComplexPiece([3, 4, 2], [d0, d1])
 
 
-def _identity_like(n):
-    return SparseMatrix.identity(n)
+def contraction_parts(con, harmonic, dim, dim_below):
+    """(i, p, h) of one degree as matrices, p and h read off split on unit vectors."""
+    p_cols, h_cols = [], []
+    for j in range(dim):
+        alpha, pre = con.split({j: ONE})
+        p_cols.append({a: c for a, c in enumerate(alpha) if c})
+        h_cols.append(pre)
+    return (
+        SparseMatrix.from_columns(dim, harmonic),
+        SparseMatrix.from_columns(len(harmonic), p_cols),
+        SparseMatrix.from_columns(dim_below, h_cols),
+    )
+
+
+def assert_contraction_identities(d_in, d_out, below, mid, above):
+    """The five identities at the middle of three consecutive degrees.
+
+    d_in and d_out are the differentials into and out of the middle
+    degree; below, mid and above are the (i, p, h) of the three degrees.
+    Also checks that i and p are chain maps there.
+    """
+    i, p, h = mid
+    assert p * i == SparseMatrix.identity(i.cols)
+    assert d_in * h + above[2] * d_out == SparseMatrix.identity(i.rows) - i * p
+    assert (h * i).is_zero()
+    assert (below[1] * h).is_zero()
+    assert (below[2] * h).is_zero()
+    assert (d_out * i).is_zero()
+    assert (p * d_in).is_zero()
+
+
+def _pick_harmonic(image, kernel):
+    """Kernel vectors that complete the image columns to a basis of the cycles."""
+    solver = LinSolver(image + kernel)
+    return [kernel[j - len(image)] for j in solver.pivots if j >= len(image)]
+
+
+def _check_complex(piece):
+    """Contract every degree of piece and check the identities; returns the
+    (i, p, h) per degree, padded by a zero space at each end."""
+    dims = [0] + piece.dims + [0]
+    maps = (
+        [SparseMatrix.zero(dims[1], 0)]
+        + piece.maps
+        + [SparseMatrix.zero(0, dims[-2])]
+    )
+    parts = []
+    for k, dim in enumerate(dims):
+        d_in = maps[k - 1] if k else SparseMatrix.zero(dim, 0)
+        d_out = maps[k] if k < len(maps) else SparseMatrix.zero(0, dim)
+        out = LinSolver(d_out.columns())
+        inc = LinSolver(d_in.columns())
+        image = [d_in.column(c) for c in inc.pivots]
+        harmonic = _pick_harmonic(image, list(out.kernel.values()))
+        con = Contraction(out.kernel, harmonic, image, inc.pivots)
+        parts.append(contraction_parts(con, harmonic, dim, d_in.cols))
+    assert [i.cols for i, _, _ in parts] == [0] + homology_ranks(piece) + [0]
+    for k in range(1, len(dims) - 1):
+        assert_contraction_identities(
+            maps[k - 1], maps[k], parts[k - 1], parts[k], parts[k + 1]
+        )
+    return parts[1:-1]
 
 
 @pytest.mark.parametrize("seed", [7, 19, 101])
 def test_contraction_five_identities(seed):
-    piece = _random_complex(seed)
-    con = build_contraction(piece)
-    dims = piece.dims
-    ndeg = len(dims)
-    total_h = sum(con.homology_dims)
-    assert total_h == sum(homology_ranks(piece))
-    for k in range(ndeg):
-        i_k, p_k, h_k = con.inject[k], con.project[k], con.homotopy[k]
-        # p i = 1 on homology coordinates.
-        assert p_k * i_k == _identity_like(con.homology_dims[k])
-        # d h + h d = 1 - i p.
-        lhs = SparseMatrix.zero(dims[k], dims[k])
-        if k > 0:
-            lhs = lhs + piece.maps[k - 1] * h_k
-        if k < ndeg - 1:
-            lhs = lhs + con.homotopy[k + 1] * piece.maps[k]
-        assert lhs == _identity_like(dims[k]) - i_k * p_k
-        # h i = 0.
-        assert (h_k * i_k).is_zero()
-        # p h = 0.
-        if k > 0:
-            assert (con.project[k - 1] * h_k).is_zero()
-        # h h = 0.
-        if k > 0 and k < ndeg - 1:
-            assert (h_k * con.homotopy[k + 1]).is_zero()
+    _check_complex(_random_complex(seed))
 
 
 def test_contraction_respects_known_homology():
     # 0 -> Q^2 --0--> Q^2 -> 0 has full homology in both spots.
     piece = ChainComplexPiece([2, 2], [SparseMatrix.zero(2, 2)])
-    con = build_contraction(piece)
-    assert con.homology_dims == [2, 2]
-    assert con.inject[0] == SparseMatrix.identity(2)
+    parts = _check_complex(piece)
+    assert parts[0][0] == SparseMatrix.identity(2)
+
+
+def test_contraction_rejects_dependent_columns():
+    with pytest.raises(ValueError):
+        Contraction({}, [{0: F(1)}], [{0: F(2)}], [0])
+    # a cycle e_1 outside the span of the image column e_0
+    con = Contraction({1: {1: F(1)}}, [], [{0: F(1)}], [0])
+    with pytest.raises(ValueError):
+        con.split({1: F(1)})
 
 
 def test_linsolver_roundtrip():

@@ -7,6 +7,7 @@ import pytest
 from koszulmf.lattice import LatticeClass, from_elements, size
 from koszulmf.linalg import ChainComplexPiece, SparseMatrix, homology_ranks
 from koszulmf.minimal import (
+    _Engine,
     ArityBound,
     BadChoice,
     CohomologyBasisChoice,
@@ -15,7 +16,6 @@ from koszulmf.minimal import (
     admissible_tuples,
     build_minimal_model,
     cohomology_dim,
-    contraction_for_piece,
     dbar,
     dbar_product,
     minimal_mu,
@@ -30,6 +30,7 @@ from koszulmf.weyl import (
     mono_qdeg_num,
     mono_weight,
 )
+from test_linalg import assert_contraction_identities, contraction_parts
 
 F = Fraction
 
@@ -132,38 +133,54 @@ def test_cohomology_dim_against_homology_ranks():
         assert homology_ranks(piece)[1] == cohomology_dim(w, q, cfg)
 
 
-def test_contraction_for_piece_identities():
+def test_engine_contraction_identities():
+    # the contraction the transfer uses, on every piece an n=1 model to
+    # arity 4 builds and on three exterior pieces
     n = 1
     cfg = MFConfig(n)
     choice = CohomologyBasisChoice.default(n)
-    w, q = _exterior_piece(0b001, n)
-    c = contraction_for_piece(w, q, cfg, choice)
-    piece = c.piece
-    assert c.homology_dims[1] == 1
-    # inject hits the chosen representative
-    rep = dbar_product(0b001, choice, cfg)
-    basis = bigraded_basis(w, q, cfg)
-    index = {m: i for i, m in enumerate(basis)}
-    rep_col = {index[m]: v for m, v in rep.terms.items()}
-    assert c.inject[1] == SparseMatrix.from_columns(len(basis), [rep_col])
-    # p i = 1, p d = 0, and the homotopy identity at the middle degree
-    assert c.project[1] * c.inject[1] == SparseMatrix.identity(1)
-    assert (c.project[1] * piece.maps[0]).is_zero()
-    mid = piece.dims[1]
-    lhs = piece.maps[0] * c.homotopy[1] + c.homotopy[2] * piece.maps[1]
-    rhs = SparseMatrix.identity(mid) - c.inject[1] * c.project[1]
-    assert lhs == rhs
+    eng = _Engine(cfg, choice)
+    for k in (2, 3, 4):
+        for tup in admissible_tuples(n, k, k - 2):
+            eng.mu(tup)
+    exterior = {}
+    for kmask in (0b001, 0b011, 0b111):
+        w, q = _exterior_piece(kmask, n)
+        exterior[(w.rep, int(q * (n + 2)))] = kmask
+    keys = set(eng._pieces) | set(exterior)
+    assert len(keys) > len(exterior)
 
+    def dim(key):
+        return len(eng.basis(key)[0])
 
-def test_contraction_projects_exact_to_zero():
-    n = 1
-    cfg = MFConfig(n)
-    w, q = _exterior_piece(0b011, n)
-    c = contraction_for_piece(w, q, cfg)
-    below = bigraded_basis(w, q - 1, cfg)
-    for i in range(len(below)):
-        img = c.piece.maps[0].column(i)
-        assert not c.project[1].apply(img)
+    def d_out(key):
+        return SparseMatrix.from_columns(
+            dim((key[0], key[1] + eng.step)), eng.outgoing(key)[3]
+        )
+
+    def parts(key):
+        con, harm_mask = eng.piece(key)
+        harmonic = []
+        if harm_mask is not None:
+            _, index = eng.basis(key)
+            rep = dbar_product(harm_mask, choice, cfg)
+            harmonic.append({index[m]: c for m, c in rep.terms.items()})
+        below = (key[0], key[1] - eng.step)
+        return contraction_parts(con, harmonic, dim(key), dim(below))
+
+    for key in sorted(keys):
+        below = (key[0], key[1] - eng.step)
+        above = (key[0], key[1] + eng.step)
+        mid = parts(key)
+        assert_contraction_identities(
+            d_out(below), d_out(key), parts(below), mid, parts(above)
+        )
+        if key in exterior:
+            kmask = exterior[key]
+            assert eng.piece(key)[1] == kmask
+            alpha, h = eng.split(dbar_product(kmask, choice, cfg), key)
+            assert alpha == {kmask: F(1)}
+            assert h.is_zero()
 
 
 def test_mu2_on_generators():
