@@ -133,6 +133,57 @@ def test_cohomology_dim_against_homology_ranks():
         assert homology_ranks(piece)[1] == cohomology_dim(w, q, cfg)
 
 
+def _engine_at(kmask, n=1):
+    cfg = MFConfig(n)
+    choice = CohomologyBasisChoice.default(n)
+    eng = _Engine(cfg, choice)
+    w, q = _exterior_piece(kmask, n)
+    return eng, (w.rep, int(q * (n + 2))), choice, cfg
+
+
+def _engine_d_out(eng, key):
+    dim_above = len(eng.basis((key[0], key[1] + eng.step))[0])
+    return SparseMatrix.from_columns(dim_above, eng.outgoing(key)[3])
+
+
+def test_contraction_for_piece_identities():
+    eng, key, choice, cfg = _engine_at(0b001)
+    con, harm_mask = eng.piece(key)
+    assert harm_mask == 0b001
+    assert con.nharm == 1
+    # inject hits the chosen representative
+    basis, index = eng.basis(key)
+    rep = dbar_product(0b001, choice, cfg)
+    rep_col = {index[m]: v for m, v in rep.terms.items()}
+    below = (key[0], key[1] - eng.step)
+    above = (key[0], key[1] + eng.step)
+    dim_below = len(eng.basis(below)[0])
+    i, p, h = contraction_parts(con, [rep_col], len(basis), dim_below)
+    assert i == SparseMatrix.from_columns(len(basis), [rep_col])
+    # p i = 1, p d = 0, and the homotopy identity at the middle degree
+    d_in = _engine_d_out(eng, below)
+    d_out = _engine_d_out(eng, key)
+    con_above, harm_above = eng.piece(above)
+    assert harm_above is None
+    dim_above = len(eng.basis(above)[0])
+    h_above = contraction_parts(con_above, [], dim_above, len(basis))[2]
+    assert p * i == SparseMatrix.identity(1)
+    assert (p * d_in).is_zero()
+    assert d_in * h + h_above * d_out == SparseMatrix.identity(len(basis)) - i * p
+
+
+def test_contraction_projects_exact_to_zero():
+    eng, key, _, _ = _engine_at(0b011)
+    con, harm_mask = eng.piece(key)
+    assert harm_mask == 0b011
+    below = (key[0], key[1] - eng.step)
+    d_in = _engine_d_out(eng, below)
+    assert d_in.cols == len(eng.basis(below)[0]) > 0
+    for j in range(d_in.cols):
+        alpha, _ = con.split(d_in.column(j))
+        assert not any(alpha)
+
+
 def test_engine_contraction_identities():
     # the contraction the transfer uses, on every piece an n=1 model to
     # arity 4 builds and on three exterior pieces
