@@ -22,7 +22,12 @@ from fractions import Fraction
 from itertools import product
 from math import comb, lcm
 
-from .lattice import LatticeClass, fractional_grading, integer_grading, size
+from .lattice import (
+    fractional_grading,
+    integer_grading,
+    size,
+    weight as lattice_weight,
+)
 
 ZERO = Fraction(0)
 
@@ -331,10 +336,7 @@ def wedge_algebra(n):
     n2 = n + 2
     basis = list(range(1 << n2))
     zdeg = {m: size(m) for m in basis}
-    weight = {
-        m: LatticeClass(tuple(-1 if m >> i & 1 else 0 for i in range(n2)))
-        for m in basis
-    }
+    weight = {m: lattice_weight(m, n) for m in basis}
     qdeg = {m: fractional_grading(m, n) for m in basis}
     table = {}
     for x in basis:
@@ -461,6 +463,11 @@ def smash(alg, grp):
     """
     if alg.weight is None:
         raise ValueError("smash needs an algebra with weights")
+    for w in alg.weight.values():
+        if len(w.rep) != len(grp.rho):
+            raise ValueError(
+                f"rho has {len(grp.rho)} rows, weights have {len(w.rep)} entries"
+            )
     chars = grp.characters()
     m = grp.modulus
     nfac = len(grp.factors)
@@ -545,10 +552,7 @@ def from_minimal_model(model):
     n2 = n + 2
     basis = list(range(1 << n2))
     zdeg = {m: integer_grading(m, n) for m in basis}
-    weight = {
-        m: LatticeClass(tuple(-1 if m >> i & 1 else 0 for i in range(n2)))
-        for m in basis
-    }
+    weight = {m: lattice_weight(m, n) for m in basis}
     qdeg = {m: fractional_grading(m, n) for m in basis}
     ops = {k: dict(table) for k, table in model.tables.items()}
     return FiniteAInftyAlgebra(basis, zdeg, ops, weight, qdeg)

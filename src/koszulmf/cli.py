@@ -5,9 +5,9 @@ output is byte-identical between runs except for the wall-time field)
 and a one-line summary on stderr.  Exit status: 0 when every requested
 check passes, 1 when a check fails, 2 on usage or precondition errors,
 3 on an internal error (an invariant of the computation failed).
-Exact rationals are rendered "num/den"; float-based geometric checks
-carry an explicit tolerance field.  Checks run sequentially in a fixed
-order.
+Exact rationals are rendered "num/den"; the float-based geometric
+checks (coamoeba, morse, rnc) take --tolerance and report it.  Checks
+run sequentially in a fixed order.
 """
 
 import argparse
@@ -32,7 +32,7 @@ from .ainfty import (
     smash,
     supercommutativity_check,
 )
-from .lattice import LatticeClass, elements, from_elements, size
+from .lattice import LatticeClass, elements, from_elements, size, weight
 from .linalg import homology_ranks
 from .minimal import (
     CohomologyBasisChoice,
@@ -77,6 +77,10 @@ def _parse_subset(token):
     if token in ("-", ""):
         return 0
     return from_elements(int(p) for p in token.split(","))
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _parse_rationals(text):
@@ -140,11 +144,9 @@ def _load_model_file(path):
     return doc, FiniteAInftyAlgebra(basis, zdeg, ops, wt, qdeg)
 
 
-def _exterior_weight(mask, n2):
-    return LatticeClass(tuple(-1 if mask >> i & 1 else 0 for i in range(n2)))
-
-
 def _cmd_mf_check(args):
+    if args.samples < 1:
+        raise ValueError("need at least one sample")
     cfg = MFConfig(args.n)
     n2 = cfg.nvars
     d = delta(cfg)
@@ -171,7 +173,7 @@ def _cmd_mf_check(args):
     by_size = [0] * (n2 + 1)
     all_one = True
     for mask in range(1 << n2):
-        w = _exterior_weight(mask, n2)
+        w = weight(mask, cfg.n)
         q = Fraction(cfg.n * size(mask), n2)
         dim = cohomology_dim(w, q, cfg)
         pieces.append([_subset(mask), dim])
@@ -355,15 +357,30 @@ def _cmd_pearl_degree(args):
 def _cmd_validate_labels(args):
     with open(args.file) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict) or not isinstance(doc.get("pearls"), list):
+        raise ValueError("expected an object with a list of pearls")
     n = doc["n"]
-    pearls = tuple(
-        PearlLabel(
-            tuple(from_elements(s) for s in entry["flips"]),
-            int(entry["degree"]),
+    if not _is_int(n) or n < 1:
+        raise ValueError("n must be a positive integer")
+
+    def is_label(s):
+        return isinstance(s, list) and all(
+            _is_int(e) and 1 <= e <= n + 2 for e in s
         )
-        for entry in doc["pearls"]
-    )
-    issues = validate_pearl_labels(PearlTreeLabeling(pearls), n)
+
+    pearls = []
+    for entry in doc["pearls"]:
+        if not isinstance(entry, dict):
+            raise ValueError("each pearl must be an object")
+        flips, degree = entry["flips"], entry["degree"]
+        if not isinstance(flips, list) or not all(map(is_label, flips)):
+            raise ValueError(f"flip labels must be lists of indices 1..{n + 2}")
+        if not _is_int(degree):
+            raise ValueError("degree must be an integer")
+        pearls.append(
+            PearlLabel(tuple(from_elements(s) for s in flips), degree)
+        )
+    issues = validate_pearl_labels(PearlTreeLabeling(tuple(pearls)), n)
     ok = not issues
     return {
         "pearls": len(pearls),
@@ -505,8 +522,8 @@ _HANDLERS = {
 
 
 def _build_parser():
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument(
+    tolerance = argparse.ArgumentParser(add_help=False)
+    tolerance.add_argument(
         "--tolerance",
         type=float,
         default=1e-9,
@@ -519,11 +536,11 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("mf-check", parents=[shared])
+    p = sub.add_parser("mf-check")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--samples", type=int, default=200)
 
-    p = sub.add_parser("minimal-model", parents=[shared])
+    p = sub.add_parser("minimal-model")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-arity", type=int, default=None)
     p.add_argument("--a-weights", default=None,
@@ -531,40 +548,40 @@ def _build_parser():
     p.add_argument("--dbar-aux", default=None,
                    help="comma separated partner indices")
 
-    p = sub.add_parser("hkr", parents=[shared])
+    p = sub.add_parser("hkr")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
 
-    p = sub.add_parser("zonotope", parents=[shared])
+    p = sub.add_parser("zonotope")
     p.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("coamoeba", parents=[shared])
+    p = sub.add_parser("coamoeba", parents=[tolerance])
     p.add_argument("--theta", required=True,
                    help="comma separated angles in radians")
 
-    p = sub.add_parser("morse", parents=[shared])
+    p = sub.add_parser("morse", parents=[tolerance])
     p.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("pearl-degree", parents=[shared])
+    p = sub.add_parser("pearl-degree")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k0", required=True,
                    help='output subset, e.g. "1,3" or "-" for empty')
     p.add_argument("--inputs", nargs="+", required=True,
                    help='input subsets, e.g. 1,2 3 -')
 
-    p = sub.add_parser("validate-labels", parents=[shared])
+    p = sub.add_parser("validate-labels")
     p.add_argument("--file", required=True)
 
-    p = sub.add_parser("rnc", parents=[shared])
+    p = sub.add_parser("rnc", parents=[tolerance])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--pphi", required=True,
                    help="comma separated rationals summing to 0")
 
-    p = sub.add_parser("opposite", parents=[shared])
+    p = sub.add_parser("opposite")
     p.add_argument("--model", required=True)
 
-    p = sub.add_parser("smash", parents=[shared])
+    p = sub.add_parser("smash")
     p.add_argument("--model", required=True)
     p.add_argument("--group", required=True,
                    help='factors:rho rows, e.g. "3,3:1,0;0,1;2,2"')

@@ -91,8 +91,10 @@ class LatticeClass:
 
 
 def weight(mask, n):
-    """M-weight of the cohomology generator indexed by a subset."""
-    return LatticeClass(e_vec(mask, n))
+    """M-weight of the cohomology generator indexed by a subset: the class
+    of -e_K, the weight of its representative dbar_K (dtheta_j has
+    weight -e_j)."""
+    return LatticeClass(tuple(-x for x in e_vec(mask, n)))
 
 
 def integer_grading(mask, n, nvec=None):

@@ -36,6 +36,7 @@ from .lattice import (
     elements,
     homogeneity_defect,
     size,
+    weight,
 )
 from .linalg import Contraction, LinSolver
 from .weyl import (
@@ -43,7 +44,6 @@ from .weyl import (
     OperatorElement,
     bigraded_basis,
     differential,
-    multiply_monomials,
 )
 
 ZERO = Fraction(0)
@@ -111,7 +111,7 @@ def dbar_product(kmask, choice, cfg):
 
 
 class _Engine:
-    """Shared caches for one (cfg, choice): pieces, blocks, products."""
+    """Shared caches for one (cfg, choice): pieces, blocks, representatives."""
 
     def __init__(self, cfg, choice):
         self.cfg = cfg
@@ -123,7 +123,6 @@ class _Engine:
         self._pieces = {}
         self._blocks = {}
         self._reps = {}
-        self._mul = {}
 
     # -- bigraded piece plumbing --------------------------------------
 
@@ -163,8 +162,7 @@ class _Engine:
         for mask in range(1 << self.step):
             if size(mask) * self.n != qnum:
                 continue
-            neg = tuple(-1 if mask >> i & 1 else 0 for i in range(self.step))
-            if LatticeClass(neg) == target:
+            if weight(mask, self.n) == target:
                 return mask
         return None
 
@@ -229,26 +227,6 @@ class _Engine:
 
     # -- transfer tree sum --------------------------------------------
 
-    def product(self, e1, e2):
-        """e1 * e2 through a monomial-pair memo shared across the run."""
-        out = {}
-        cache = self._mul
-        n = self.n
-        for m1, c1 in e1.terms.items():
-            for m2, c2 in e2.terms.items():
-                hit = cache.get((m1, m2))
-                if hit is None:
-                    hit = tuple(multiply_monomials(m1, ONE, m2, ONE, n).items())
-                    cache[(m1, m2)] = hit
-                cc = c1 * c2
-                for mono, coef in hit:
-                    cur = out.get(mono, ZERO) + cc * coef
-                    if cur:
-                        out[mono] = cur
-                    else:
-                        del out[mono]
-        return OperatorElement(self.cfg, out)
-
     def lambda_key(self, masks):
         """Piece of the raw tree sum lambda over this argument block."""
         wvec = [0] * self.step
@@ -282,22 +260,15 @@ class _Engine:
 
     def tree_sum(self, masks):
         """lambda_k = sum over splits of B2(Lambda(left), Lambda(right))."""
-        acc = {}
+        acc = OperatorElement(self.cfg)
         for cut in range(1, len(masks)):
             left = self.block(masks[:cut])
             right = self.block(masks[cut:])
             if left.is_zero() or right.is_zero():
                 continue
-            term = self.product(left, right)
-            if right.parity():
-                term = term.scale(-1)
-            for mono, coef in term.terms.items():
-                cur = acc.get(mono, ZERO) + coef
-                if cur:
-                    acc[mono] = cur
-                else:
-                    del acc[mono]
-        return OperatorElement(self.cfg, acc)
+            term = left * right
+            acc = acc - term if right.parity() else acc + term
+        return acc
 
     def mu(self, masks):
         lam = self.tree_sum(masks)

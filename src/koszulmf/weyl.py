@@ -7,8 +7,10 @@ with z coefficients.  A monomial is stored normal ordered as
     z^a theta_S dtheta_T   ->   (a, S, T)
 
 with a a tuple of nonnegative ints and S, T subset masks; within each
-block generators appear in ascending index order.  The curved
-differential is conjugation by
+block generators appear in ascending index order.  The z_j are central,
+so every product of monomials is one lookup in a mask-keyed Clifford
+table (`clifford_product`, signs +-1) plus exponent addition; that is
+the only operator product.  The curved differential is conjugation by
 
     delta = sum_j  z_j dtheta_j + a_j (W / z_j) theta_j,
 
@@ -23,10 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .lattice import LatticeClass, elements, size
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -101,38 +103,6 @@ def _insert_sign(mask, j):
     return -1 if size(below) & 1 else 1
 
 
-def _apply_theta(j, coef, mono, out):
-    a, s, t = mono
-    bit = 1 << j
-    if s & bit:
-        return
-    c = coef * _insert_sign(s, j)
-    _accumulate(out, (a, s | bit, t), c)
-
-
-def _apply_dtheta(j, coef, mono, out):
-    a, s, t = mono
-    bit = 1 << j
-    if s & bit:
-        # dtheta_j theta_S = (-1)^pos theta_{S-j} + (-1)^{|S|} theta_S dtheta_j
-        pos = size(s & (bit - 1))
-        _accumulate(out, (a, s ^ bit, t), coef * (-1 if pos & 1 else 1))
-        pass_sign = -1 if size(s) & 1 else 1
-        _push_dtheta(j, coef * pass_sign, (a, s, t), out)
-    else:
-        pass_sign = -1 if size(s) & 1 else 1
-        _push_dtheta(j, coef * pass_sign, mono, out)
-
-
-def _push_dtheta(j, coef, mono, out):
-    a, s, t = mono
-    bit = 1 << j
-    if t & bit:
-        return
-    c = coef * _insert_sign(t, j)
-    _accumulate(out, (a, s, t | bit), c)
-
-
 def _accumulate(out, mono, coef):
     if not coef:
         return
@@ -147,32 +117,51 @@ def _accumulate(out, mono, coef):
             del out[mono]
 
 
-def multiply_monomials(m1, c1, m2, c2, n):
-    """Product of two normal ordered monomials as a term dict."""
-    a1, s1, t1 = m1
-    terms = {m2: c1 * c2}
-    # Apply the word of m1 right to left: dtheta block (descending), then
-    # theta block (descending), then the central z part.
+@lru_cache(maxsize=None)
+def clifford_product(s1, t1, s2, t2):
+    """theta_S1 dtheta_T1 * theta_S2 dtheta_T2, normal ordered, on masks.
+
+    Returns a tuple of (S, T, sign) with distinct (S, T) and sign +-1.
+    The word of the left factor is applied right to left: its dtheta
+    block (descending), then its theta block (descending), using
+    dtheta_j theta_S = (-1)^pos theta_{S-j} + (-1)^{|S|} theta_S dtheta_j.
+    The key space has at most 2^(4(n+2)) entries, so the memo is bounded.
+    """
+    terms = {(s2, t2): 1}
     for j in reversed(elements(t1)):
+        bit = 1 << (j - 1)
         nxt = {}
-        for mono, coef in terms.items():
-            _apply_dtheta(j - 1, coef, mono, nxt)
+        for (s, t), c in terms.items():
+            if s & bit:
+                _accumulate(nxt, (s ^ bit, t), c * _insert_sign(s, j - 1))
+            if not t & bit:
+                c_pass = -c if size(s) & 1 else c
+                _accumulate(nxt, (s, t | bit), c_pass * _insert_sign(t, j - 1))
         terms = nxt
-        if not terms:
-            return terms
     for j in reversed(elements(s1)):
+        bit = 1 << (j - 1)
         nxt = {}
-        for mono, coef in terms.items():
-            _apply_theta(j - 1, coef, mono, nxt)
+        for (s, t), c in terms.items():
+            if not s & bit:
+                _accumulate(nxt, (s | bit, t), c * _insert_sign(s, j - 1))
         terms = nxt
-        if not terms:
-            return terms
-    if any(a1):
-        shifted = {}
-        for (a, s, t), coef in terms.items():
-            shifted[(tuple(x + y for x, y in zip(a, a1)), s, t)] = coef
-        terms = shifted
-    return terms
+    return tuple((s, t, c) for (s, t), c in terms.items())
+
+
+def multiply_monomials(m1, c1, m2, c2):
+    """Product of two normal ordered monomials as a term dict.
+
+    The z_j are central, so the product is the Clifford product of the
+    masks with the exponents added.
+    """
+    a1, s1, t1 = m1
+    a2, s2, t2 = m2
+    a = tuple(x + y for x, y in zip(a1, a2))
+    c = c1 * c2
+    return {
+        (a, s, t): c if sign > 0 else -c
+        for s, t, sign in clifford_product(s1, t1, s2, t2)
+    }
 
 
 class OperatorElement:
@@ -221,11 +210,10 @@ class OperatorElement:
     def __mul__(self, other):
         if not isinstance(other, OperatorElement):
             return NotImplemented
-        n = self.cfg.n
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                for mono, coef in multiply_monomials(m1, c1, m2, c2, n).items():
+                for mono, coef in multiply_monomials(m1, c1, m2, c2).items():
                     _accumulate(out, mono, coef)
         return OperatorElement(self.cfg, out)
 

@@ -288,6 +288,13 @@ def test_smash_with_trivial_group(alg_n1):
         assert sm.ops[k] == wrapped
 
 
+def test_smash_rejects_rho_with_wrong_row_count(alg_n1):
+    # n = 1 weights have 3 entries; rho needs one row per variable
+    for rho in (((1,), (2,)), (), ((1,), (1,), (0,), (1,))):
+        with pytest.raises(ValueError, match="rows"):
+            smash(alg_n1, FiniteAbelianGroupData((3,), rho))
+
+
 def test_smash_dimension_with_weight_mod_group(alg_n1):
     # Gamma_1 = (Z^3 / diagonal) tensor Z_3, of order 3^2
     grp = FiniteAbelianGroupData((3, 3), ((1, 0), (0, 1), (2, 2)))

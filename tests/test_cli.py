@@ -41,6 +41,10 @@ def test_usage_and_precondition_errors(capsys):
                    capsys)[0] == 2
     assert run_cli(["hkr", "--n", "2", "--r", "2", "--t", "-2",
                     "--threads", "2"], capsys)[0] == 2  # no such option
+    # only coamoeba, morse and rnc take a tolerance
+    assert run_cli(["zonotope", "--n", "2", "--tolerance", "1e-3"],
+                   capsys)[0] == 2
+    assert run_cli(["mf-check", "--n", "1", "--samples", "-3"], capsys)[0] == 2
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):
@@ -122,6 +126,23 @@ def test_validate_labels_exit_codes(tmp_path, capsys):
     assert report(out)["results"]["issues"]
 
 
+@pytest.mark.parametrize("doc", [
+    {"n": 1, "pearls": [{"flips": [1, 2, 3], "degree": 1}]},
+    {"n": "1", "pearls": [{"flips": [[1], [2], [3]], "degree": 1}]},
+    {"n": 1, "pearls": [{"flips": [[1], [2], [3]], "degree": "1"}]},
+    {"n": 1, "pearls": [{"flips": [[4], [4]], "degree": 2}]},  # no index 4
+    {"n": 1, "pearls": [[[1], [2], [3]]]},
+    [{"n": 1}],
+])
+def test_validate_labels_rejects_malformed_input(doc, tmp_path, capsys):
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["validate-labels", "--file", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "error" in err
+
+
 def test_rnc_report(capsys):
     code, out, _ = run_cli(["rnc", "--n", "1", "--pphi", "1,2,-3"], capsys)
     assert code == 0
@@ -192,6 +213,14 @@ def test_smash_dimensions(model_file, capsys):
         ["smash", "--model", str(model_file), "--group", "3:1;1;2"], capsys
     )
     assert code == 2  # rho rows must sum to zero mod the factors
+
+    # one rho row per variable: n = 1 needs three
+    for group in ("3:1;2", "3", "3:1;1;0;1"):
+        code, out, _ = run_cli(
+            ["smash", "--model", str(model_file), "--group", group], capsys
+        )
+        assert code == 2
+        assert out == ""
 
 
 def _check_hkr_process(cmd):

@@ -28,7 +28,8 @@ def test_mask_roundtrip():
 
 
 def test_weight_example():
-    assert weight(from_elements((1,)), 1) == LatticeClass((1, 0, 0))
+    # the class of -e_K, the weight of the representative dbar_K
+    assert weight(from_elements((1,)), 1) == LatticeClass((-1, 0, 0))
 
 
 def test_weight_full_set_is_trivial():

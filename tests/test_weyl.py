@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -10,6 +11,7 @@ from koszulmf.weyl import (
     MFConfig,
     OperatorElement,
     bigraded_basis,
+    clifford_product,
     delta,
     differential,
     mono_parity,
@@ -58,6 +60,64 @@ def _act(element, state):
         sign, new_state = hit
         out[new_state] = out.get(new_state, F(0)) + sign * coef
     return {k: v for k, v in out.items() if v}
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the generator-by-generator product that the mask-keyed Clifford
+# table replaced.  It applies the word of the left factor to the right one
+# generator at a time, right to left, with Fraction coefficients.
+
+def _insert_sign(mask, j):
+    return -1 if size(mask & ((1 << j) - 1)) & 1 else 1
+
+
+def _add_term(out, mono, coef):
+    cur = out.get(mono, F(0)) + coef
+    if cur:
+        out[mono] = cur
+    else:
+        out.pop(mono, None)
+
+
+def _ref_apply_theta(j, coef, mono, out):
+    a, s, t = mono
+    if not s & (1 << j):
+        _add_term(out, (a, s | 1 << j, t), coef * _insert_sign(s, j))
+
+
+def _ref_push_dtheta(j, coef, mono, out):
+    a, s, t = mono
+    if not t & (1 << j):
+        _add_term(out, (a, s, t | 1 << j), coef * _insert_sign(t, j))
+
+
+def _ref_apply_dtheta(j, coef, mono, out):
+    a, s, t = mono
+    bit = 1 << j
+    if s & bit:
+        # dtheta_j theta_S = (-1)^pos theta_{S-j} + (-1)^{|S|} theta_S dtheta_j
+        _add_term(out, (a, s ^ bit, t), coef * _insert_sign(s, j))
+    pass_sign = -1 if size(s) & 1 else 1
+    _ref_push_dtheta(j, coef * pass_sign, mono, out)
+
+
+def _reference_multiply(m1, c1, m2, c2):
+    a1, s1, t1 = m1
+    terms = {m2: F(c1) * F(c2)}
+    for j in reversed(elements(t1)):
+        nxt = {}
+        for mono, coef in terms.items():
+            _ref_apply_dtheta(j - 1, coef, mono, nxt)
+        terms = nxt
+    for j in reversed(elements(s1)):
+        nxt = {}
+        for mono, coef in terms.items():
+            _ref_apply_theta(j - 1, coef, mono, nxt)
+        terms = nxt
+    return {
+        (tuple(x + y for x, y in zip(a, a1)), s, t): coef
+        for (a, s, t), coef in terms.items()
+    }
 
 
 def _random_monomial(rng, cfg, max_exp=2):
@@ -128,6 +188,57 @@ def test_multiply_matches_module_action():
                 composed[st2] = composed.get(st2, F(0)) + c * c2
         composed = {k: v for k, v in composed.items() if v}
         assert via_product == composed
+
+
+def test_multiply_matches_reference_on_all_n1_masks():
+    a1, a2 = (1, 0, 2), (0, 3, 1)
+    c1, c2 = F(2, 3), F(-5, 7)
+    for s1, t1, s2, t2 in product(range(8), repeat=4):
+        m1, m2 = (a1, s1, t1), (a2, s2, t2)
+        assert multiply_monomials(m1, c1, m2, c2) == _reference_multiply(
+            m1, c1, m2, c2
+        )
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_multiply_matches_reference_on_random_pairs(n):
+    cfg = MFConfig(n)
+    rng = random.Random(4100 + n)
+    for _ in range(400):
+        m1 = _random_monomial(rng, cfg)
+        m2 = _random_monomial(rng, cfg)
+        c1 = F(rng.randint(-9, 9) or 1, rng.randint(1, 5))
+        c2 = F(rng.randint(-9, 9) or 1, rng.randint(1, 5))
+        assert multiply_monomials(m1, c1, m2, c2) == _reference_multiply(
+            m1, c1, m2, c2
+        )
+
+
+def test_multiply_matches_module_action_on_all_n1_masks():
+    cfg = MFConfig(1)
+    a1, a2 = (0, 1, 0), (2, 0, 1)
+    for s1, t1, s2, t2 in product(range(8), repeat=4):
+        e1 = OperatorElement.monomial(cfg, a1, s1, t1, F(3))
+        e2 = OperatorElement.monomial(cfg, a2, s2, t2, F(-1, 2))
+        prod = e1 * e2
+        for x in range(8):
+            state = ((1, 0, 0), x)
+            composed = {}
+            for st, c in _act(e2, state).items():
+                for st2, c2 in _act(e1, st).items():
+                    composed[st2] = composed.get(st2, F(0)) + c * c2
+            composed = {k: v for k, v in composed.items() if v}
+            assert _act(prod, state) == composed
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_clifford_product_terms_are_distinct_signs(n):
+    # every mask quadruple; __wrapped__ keeps the shared table untouched
+    table = clifford_product.__wrapped__
+    for s1, t1, s2, t2 in product(range(1 << (n + 2)), repeat=4):
+        terms = table(s1, t1, s2, t2)
+        assert all(sign in (1, -1) for _, _, sign in terms)
+        assert len({(s, t) for s, t, _ in terms}) == len(terms)
 
 
 def test_multiply_associative():
