@@ -17,7 +17,8 @@ stored as an exact exponent) for smash products with a finite group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import comb, lcm
@@ -45,7 +46,8 @@ class Cyc:
     """An exact coefficient q * zeta^exp with zeta a primitive root of
     unity of the given order.  Sums are only formed between terms with
     equal exponents; anything else raises, loudly, instead of leaving
-    exact arithmetic.  `check_stasheff` keeps its totals per exponent
+    exact arithmetic.  `check_stasheff` adds no Cyc terms: it splits each
+    coefficient into (magnitude, exponent), keeps its totals per exponent
     and decides zero in Q(zeta) itself.
     """
 
@@ -106,17 +108,6 @@ class FiniteAInftyAlgebra:
     weight: dict = None
     qdeg: dict = None
 
-    def mu(self, k, inputs):
-        table = self.ops.get(k)
-        if not table:
-            return {}
-        inputs = tuple(inputs)
-        out = {}
-        for (label, ins), coef in table.items():
-            if ins == inputs and coef:
-                out[label] = coef
-        return out
-
     def dim(self):
         return len(self.basis)
 
@@ -167,11 +158,89 @@ def _cyclotomic(m):
     return poly
 
 
-def _add_term(totals, m, tup, out, term):
-    """Add term to totals[(m, tup, out, exp)], exp its root-of-unity exponent."""
-    exp, mag = (term.exp, term.mag) if isinstance(term, Cyc) else (0, term)
-    key = (m, tup, out, exp)
-    totals[key] = totals.get(key, 0) + mag
+def _splitter(alg):
+    """A map coef -> (magnitude, root-of-unity exponent) for the nonzero
+    coefficients of alg, and the common denominator D it scales by.
+
+    The magnitude is the int q * D for a coefficient q * zeta^exp (exp 0
+    for a rational coefficient), so products of two coefficients are ints
+    at scale D^2 and the hot loops build no Fraction or Cyc.
+    """
+    scale = lcm(*(
+        (c.mag if isinstance(c, Cyc) else c).denominator
+        for table in alg.ops.values() for c in table.values() if c
+    ))
+
+    def split(coef):
+        mag, exp = (coef.mag, coef.exp) if isinstance(coef, Cyc) else (coef, 0)
+        return mag.numerator * (scale // mag.denominator), exp
+
+    return split, scale
+
+
+def _exhaustive_terms(alg, max_arity, split, modulus):
+    """((arity, tuple, output, exponent), scaled magnitude) for every
+    nonzero term of every identity on every basis tuple."""
+    for m in range(1, max_arity + 1):
+        for tup in product(alg.basis, repeat=m):
+            for a in range(1, m + 1):
+                tin = alg.ops.get(a)
+                tout = alg.ops.get(m - a + 1)
+                if not tin or not tout:
+                    continue
+                for p in range(0, m - a + 1):
+                    inner = tup[p:p + a]
+                    sign = _tail_sign(alg.zdeg, tup[p + a:])
+                    for mid in alg.basis:
+                        c_in = tin.get((mid, inner))
+                        if not c_in:
+                            continue
+                        mag_in, exp_in = split(c_in)
+                        outer = tup[:p] + (mid,) + tup[p + a:]
+                        for out in alg.basis:
+                            c_out = tout.get((out, outer))
+                            if not c_out:
+                                continue
+                            mag_out, exp_out = split(c_out)
+                            yield ((m, tup, out, (exp_out + exp_in) % modulus),
+                                   sign * mag_out * mag_in)
+
+
+def _joined_terms(alg, max_arity, split, modulus):
+    """The same terms as `_exhaustive_terms`, from joining stored entries.
+
+    Outer entries are indexed by (slot label, outer arity).  An inner
+    entry of arity k_in visits only the outer arities k_out with
+    k_out + k_in - 1 <= max_arity, so every visited pair is a term; a
+    table with k_out + k_min - 1 > max_arity, k_min the smallest arity
+    with a nonzero entry, is never indexed.  The tail sign is folded
+    into the indexed magnitude.
+    """
+    arities = sorted(k for k, table in alg.ops.items() if any(table.values()))
+    k_min = min(arities, default=0)
+    outer = [k for k in arities if k + k_min - 1 <= max_arity]
+    index = {}
+    for k_out in outer:
+        for (out, ins), c_out in alg.ops[k_out].items():
+            if not c_out:
+                continue
+            mag, exp = split(c_out)
+            for p, label in enumerate(ins):
+                signed = _tail_sign(alg.zdeg, ins[p + 1:]) * mag
+                index.setdefault((label, k_out), []).append((out, ins, p, signed, exp))
+    for k_in in arities:
+        reach = [k for k in outer if k + k_in - 1 <= max_arity]
+        if not reach:
+            continue
+        for (mid, inner), c_in in alg.ops[k_in].items():
+            if not c_in:
+                continue
+            mag_in, exp_in = split(c_in)
+            for k_out in reach:
+                m = k_out + k_in - 1
+                for out, ins, p, signed, exp in index.get((mid, k_out), ()):
+                    tup = ins[:p] + inner + ins[p + 1:]
+                    yield (m, tup, out, (exp + exp_in) % modulus), signed * mag_in
 
 
 def _total(by_exp, order, phi):
@@ -199,13 +268,16 @@ def check_stasheff(alg, max_arity, exhaustive=False):
     """Violated Stasheff identities up to the given composed arity.
 
     Returns a sorted list of (arity, input tuple, output label, total);
-    empty means consistent.  The total is a plain sum for rational
+    empty means consistent.  The total is a Fraction for rational
     coefficients; for `Cyc` coefficients it is a tuple of Cyc terms with
     distinct exponents, and an identity counts as violated only when that
-    sum is nonzero in the cyclotomic field.  The default mode joins
-    stored entries pairwise, which reaches every instance with at least
-    one nonzero term; exhaustive=True scans all basis tuples instead
-    (only sensible for small algebras, used as an oracle for the join).
+    sum is nonzero in the cyclotomic field.  Terms are summed as integer
+    magnitudes per root-of-unity exponent (see `_splitter`), never as
+    Fraction or Cyc values.  The default mode joins stored entries
+    pairwise, which reaches every instance with at least one nonzero
+    term, and visits only pairs whose composed arity is at most
+    max_arity; exhaustive=True scans all basis tuples instead (only
+    sensible for small algebras, used as an oracle for the join).
     """
     orders = {
         c.order for table in alg.ops.values() for c in table.values()
@@ -215,52 +287,18 @@ def check_stasheff(alg, max_arity, exhaustive=False):
         raise ValueError("mixed root-of-unity orders")
     order = orders.pop() if orders else None
     phi = _cyclotomic(order) if order else None
-    totals = {}
-    if exhaustive:
-        for m in range(1, max_arity + 1):
-            for tup in product(alg.basis, repeat=m):
-                for a in range(1, m + 1):
-                    tin = alg.ops.get(a)
-                    tout = alg.ops.get(m - a + 1)
-                    if not tin or not tout:
-                        continue
-                    for p in range(0, m - a + 1):
-                        inner = tup[p:p + a]
-                        sign = _tail_sign(alg.zdeg, tup[p + a:])
-                        for mid in alg.basis:
-                            c_in = tin.get((mid, inner))
-                            if not c_in:
-                                continue
-                            outer = tup[:p] + (mid,) + tup[p + a:]
-                            for out in alg.basis:
-                                c_out = tout.get((out, outer))
-                                if not c_out:
-                                    continue
-                                _add_term(totals, m, tup, out,
-                                          sign * (c_out * c_in))
-    else:
-        by_label = {}
-        for k_out, tout in alg.ops.items():
-            for (out, ins), c_out in tout.items():
-                if not c_out:
-                    continue
-                for p, label in enumerate(ins):
-                    by_label.setdefault(label, []).append((out, ins, c_out, p))
-        for k_in, tin in alg.ops.items():
-            for (mid, inner), c_in in tin.items():
-                if not c_in:
-                    continue
-                for out, ins, c_out, p in by_label.get(mid, ()):
-                    m = len(ins) - 1 + k_in
-                    if m > max_arity:
-                        continue
-                    tup = ins[:p] + inner + ins[p + 1:]
-                    sign = _tail_sign(alg.zdeg, ins[p + 1:])
-                    _add_term(totals, m, tup, out, sign * (c_out * c_in))
+    split, scale = _splitter(alg)
+    terms = (_exhaustive_terms if exhaustive else _joined_terms)(
+        alg, max_arity, split, order or 1
+    )
+    totals = defaultdict(int)
+    for key, mag in terms:
+        totals[key] += mag
     by_identity = {}
+    unit = scale * scale
     for (m, tup, out, exp), mag in totals.items():
         if mag:
-            by_identity.setdefault((m, tup, out), {})[exp] = mag
+            by_identity.setdefault((m, tup, out), {})[exp] = Fraction(mag, unit)
     violations = []
     for (m, tup, out), by_exp in by_identity.items():
         total = _total(by_exp, order, phi)
@@ -470,9 +508,24 @@ def smash(alg, grp):
             )
     chars = grp.characters()
     m = grp.modulus
-    nfac = len(grp.factors)
-    rho_w = {a: grp.apply(alg.weight[a]) for a in alg.basis}
+    nc = len(chars)
+    slot = {chi: i for i, chi in enumerate(chars)}
+    # add[i][j]: index of chars[i] + chars[j]
+    add = [
+        [slot[tuple((x + y) % f for x, y, f in zip(ci, cj, grp.factors))]
+         for cj in chars]
+        for ci in chars
+    ]
+    # twist[a][i]: exponent of chars[i](rho(w(a))), one row per distinct rho(w(a))
+    rows = {}
+    twist = {}
+    for a in alg.basis:
+        g = grp.apply(alg.weight[a])
+        if g not in rows:
+            rows[g] = [grp.pair(chi, g) for chi in chars]
+        twist[a] = rows[g]
     basis = [(a, chi) for a in alg.basis for chi in chars]
+    labels = {a: basis[j * nc:(j + 1) * nc] for j, a in enumerate(alg.basis)}
     zdeg = {(a, chi): alg.zdeg[a] for a, chi in basis}
     weight = {(a, chi): alg.weight[a] for a, chi in basis}
     qdeg = {(a, chi): alg.qdeg[a] for a, chi in basis} if alg.qdeg else None
@@ -482,26 +535,21 @@ def smash(alg, grp):
         for (out, ins), coef in table.items():
             if not coef:
                 continue
-            for chis in product(chars, repeat=k):
-                exp = 0
-                run = (0,) * nfac
-                for idx in range(1, k):
-                    run = tuple(
-                        (run[i] + chis[idx - 1][i]) % grp.factors[i]
-                        for i in range(nfac)
-                    )
-                    exp += grp.pair(run, rho_w[ins[idx]])
-                out_chi = (0,) * nfac
-                for chi in chis:
-                    out_chi = tuple(
-                        (out_chi[i] + chi[i]) % grp.factors[i]
-                        for i in range(nfac)
-                    )
-                key = (
-                    (out, out_chi),
-                    tuple((ins[i], chis[i]) for i in range(k)),
-                )
-                new[key] = Cyc(coef, exp, m)
+            # prefixes (labels, running character index, exponent), extended
+            # slot by slot in lexicographic character order; the character
+            # sum left of a slot twists it, and the zero character never does
+            states = [((), 0, 0)]
+            for a in ins:
+                lab, tw = labels[a], twist[a]
+                states = [
+                    (prefix + (lab[c],), add[run][c], exp + tw[run])
+                    for prefix, run, exp in states
+                    for c in range(nc)
+                ]
+            cycs = [Cyc(coef, e, m) for e in range(m)]
+            outs = labels[out]
+            for prefix, run, exp in states:
+                new[(outs[run], prefix)] = cycs[exp % m]
         ops[k] = new
     return FiniteAInftyAlgebra(basis, zdeg, ops, weight, qdeg)
 

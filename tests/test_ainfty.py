@@ -6,6 +6,9 @@ from math import comb
 import pytest
 
 from koszulmf.ainfty import (
+    _cyclotomic,
+    _tail_sign,
+    _total,
     Cyc,
     FiniteAbelianGroupData,
     FiniteAInftyAlgebra,
@@ -108,6 +111,148 @@ def test_model_passes_stasheff(alg_n1):
     alg_n1.validate_graded()
     # tables at arity 2, 3, 4 decide every identity up to arity 5
     assert check_stasheff(alg_n1, 5) == []
+
+
+# ------------------------------------------------- join oracles and pruning
+
+
+def _reference_join(alg, max_arity):
+    """The replaced default join of `check_stasheff`: every stored entry
+    against every outer slot with its label, arity filtered afterwards,
+    terms formed as Fraction or Cyc products."""
+    orders = {
+        c.order for table in alg.ops.values() for c in table.values()
+        if isinstance(c, Cyc)
+    }
+    order = orders.pop() if orders else None
+    phi = _cyclotomic(order) if order else None
+    totals = {}
+    by_label = {}
+    for k_out, tout in alg.ops.items():
+        for (out, ins), c_out in tout.items():
+            if not c_out:
+                continue
+            for p, label in enumerate(ins):
+                by_label.setdefault(label, []).append((out, ins, c_out, p))
+    for k_in, tin in alg.ops.items():
+        for (mid, inner), c_in in tin.items():
+            if not c_in:
+                continue
+            for out, ins, c_out, p in by_label.get(mid, ()):
+                m = len(ins) - 1 + k_in
+                if m > max_arity:
+                    continue
+                tup = ins[:p] + inner + ins[p + 1:]
+                term = _tail_sign(alg.zdeg, ins[p + 1:]) * (c_out * c_in)
+                exp, mag = (term.exp, term.mag) if isinstance(term, Cyc) else (0, term)
+                key = (m, tup, out, exp)
+                totals[key] = totals.get(key, 0) + mag
+    by_identity = {}
+    for (m, tup, out, exp), mag in totals.items():
+        if mag:
+            by_identity.setdefault((m, tup, out), {})[exp] = mag
+    violations = []
+    for (m, tup, out), by_exp in by_identity.items():
+        total = _total(by_exp, order, phi)
+        if total:
+            violations.append((m, tup, out, total))
+    violations.sort(key=lambda rec: (rec[0], rec[1], rec[2]))
+    return violations
+
+
+def _typed(violations):
+    """Violations with the type of every total and of every Cyc magnitude."""
+    return [
+        (rec, type(rec[3]),
+         tuple((type(t), type(t.mag)) for t in rec[3])
+         if isinstance(rec[3], tuple) else None)
+        for rec in violations
+    ]
+
+
+def _assert_same_as_reference(alg, max_arity):
+    joined = check_stasheff(alg, max_arity)
+    assert _typed(joined) == _typed(_reference_join(alg, max_arity))
+    return joined
+
+
+@pytest.fixture(scope="module")
+def smash_z3(alg_n1):
+    return smash(alg_n1, _sum_map_group(1))
+
+
+def test_join_matches_reference_on_z3_smash(smash_z3):
+    assert _assert_same_as_reference(smash_z3, 4) == []
+    twisted = FiniteAInftyAlgebra(
+        smash_z3.basis, smash_z3.zdeg,
+        {k: dict(table) for k, table in smash_z3.ops.items()},
+    )
+    key = ((0b011, (2,)), ((0b001, (1,)), (0b010, (1,))))
+    twisted.ops[2][key] = twisted.ops[2][key] * Cyc(F(1), 1, 3)
+    assert _assert_same_as_reference(twisted, 4)
+    flipped = FiniteAInftyAlgebra(
+        smash_z3.basis, smash_z3.zdeg,
+        {k: dict(table) for k, table in smash_z3.ops.items()},
+    )
+    key = sorted(key for key, c in flipped.ops[3].items() if c)[7]
+    flipped.ops[3][key] = -flipped.ops[3][key]
+    assert _assert_same_as_reference(flipped, 4)
+
+
+def test_join_matches_reference_on_mutated_model(alg_n1):
+    rng = random.Random(20261018)
+    for trial in range(6):
+        ops = {k: dict(table) for k, table in alg_n1.ops.items()}
+        k = (2, 3, 4)[trial % 3]
+        keys = sorted(key for key, c in ops[k].items() if c)
+        for key in rng.sample(keys, 3):
+            ops[k][key] = ops[k][key] * rng.choice([-1, 2, 0])
+        alg = FiniteAInftyAlgebra(alg_n1.basis, alg_n1.zdeg, ops)
+        assert _assert_same_as_reference(alg, 5)
+
+
+def _random_algebra(rng, nlabels, cyc_order):
+    """A small random algebra (not A-infinity) exercising the join's
+    pruning: a nonzero mu^1, so k_min = 1; mu^2 and mu^3; an all-zero
+    mu^4; a mu^6 above every arity checked."""
+    basis = list(range(nlabels))
+    zdeg = {b: rng.randrange(4) for b in basis}
+
+    def coef():
+        mag = F(rng.choice([1, -1, 2, -3]), rng.choice([1, 1, 2, 3]))
+        return Cyc(mag, rng.randrange(cyc_order), cyc_order) if cyc_order else mag
+
+    def table(k, count, value=coef):
+        return {
+            (rng.choice(basis), tuple(rng.choice(basis) for _ in range(k))): value()
+            for _ in range(count)
+        }
+
+    zero = Cyc(F(0), 0, cyc_order) if cyc_order else F(0)
+    ops = {
+        1: table(1, 3),
+        2: table(2, 8),
+        3: table(3, 6),
+        4: table(4, 5, lambda: zero),
+        6: table(6, 4),
+    }
+    return FiniteAInftyAlgebra(basis, zdeg, ops)
+
+
+@pytest.mark.parametrize("cyc_order", [None, 3, 4])
+def test_join_matches_exhaustive_on_random_algebras(cyc_order):
+    rng = random.Random(31 + (cyc_order or 0))
+    for trial in range(3):
+        alg = _random_algebra(rng, 4 + trial, cyc_order)
+        if trial == 2:
+            del alg.ops[1]  # k_min = 2: mu^3 is then no outer factor at arity 3
+        for max_arity in range(1, 6):
+            joined = check_stasheff(alg, max_arity)
+            exhaustive = check_stasheff(alg, max_arity, exhaustive=True)
+            assert _typed(joined) == _typed(exhaustive)
+            assert _typed(joined) == _typed(_reference_join(alg, max_arity))
+            if max_arity >= 3:
+                assert joined
 
 
 # -------------------------------------------------------------------- opposite
@@ -293,6 +438,56 @@ def test_smash_rejects_rho_with_wrong_row_count(alg_n1):
     for rho in (((1,), (2,)), (), ((1,), (1,), (0,), (1,))):
         with pytest.raises(ValueError, match="rows"):
             smash(alg_n1, FiniteAbelianGroupData((3,), rho))
+
+
+def _reference_smash(alg, grp):
+    """The replaced loop of `smash`: one `pair` call per twisted slot and
+    character tuples rebuilt for every entry."""
+    chars = grp.characters()
+    m = grp.modulus
+    nfac = len(grp.factors)
+    rho_w = {a: grp.apply(alg.weight[a]) for a in alg.basis}
+    ops = {}
+    for k, table in alg.ops.items():
+        new = {}
+        for (out, ins), coef in table.items():
+            if not coef:
+                continue
+            for chis in iproduct(chars, repeat=k):
+                exp = 0
+                run = (0,) * nfac
+                for idx in range(1, k):
+                    run = tuple(
+                        (run[i] + chis[idx - 1][i]) % grp.factors[i]
+                        for i in range(nfac)
+                    )
+                    exp += grp.pair(run, rho_w[ins[idx]])
+                out_chi = (0,) * nfac
+                for chi in chis:
+                    out_chi = tuple(
+                        (out_chi[i] + chi[i]) % grp.factors[i]
+                        for i in range(nfac)
+                    )
+                key = (
+                    (out, out_chi),
+                    tuple((ins[i], chis[i]) for i in range(k)),
+                )
+                new[key] = Cyc(coef, exp, m)
+        ops[k] = new
+    return ops
+
+
+def test_smash_matches_reference(alg_n1):
+    z6 = FiniteAbelianGroupData((6,), ((1,), (2,), (3,)))
+    for grp in (_sum_map_group(1), z6):
+        assert smash(alg_n1, grp).ops == _reference_smash(alg_n1, grp)
+    # Z3 x Z3 on the arity 2 and 3 tables only, to stay small
+    low = FiniteAInftyAlgebra(
+        alg_n1.basis, alg_n1.zdeg, {k: alg_n1.ops[k] for k in (2, 3)},
+        alg_n1.weight, alg_n1.qdeg,
+    )
+    grp = FiniteAbelianGroupData((3, 3), ((1, 0), (0, 1), (2, 2)))
+    assert smash(low, grp).ops == _reference_smash(low, grp)
 
 
 def test_smash_dimension_with_weight_mod_group(alg_n1):
