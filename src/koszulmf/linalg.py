@@ -1,21 +1,25 @@
 """Exact linear algebra over Q for finite (co)chain complexes.
 
-Everything here works with `fractions.Fraction` coefficients, so ranks,
-kernels and homology are exact.  Matrices are sparse (dict keyed by
-(row, col)).
+Ranks, kernels and homology are exact.  Matrices are sparse (dict keyed
+by (row, col)) with `fractions.Fraction` entries.
 
 There is one elimination kernel, `LinSolver`: incremental elimination
 over columns in their given order.  One pass gives the independent
 columns, the canonical kernel and a solver for many right-hand sides;
-`reduce` and `homology_ranks` are built on it.  There is one
+`reduce` and `homology_ranks` are built on it.  It accepts `int` or
+`Fraction` columns and eliminates on integers (fraction-free), so
+`Fraction`s are made only where a result is handed out.  There is one
 contraction, `Contraction`, the per-degree splitting the transfer in
-`minimal` uses.
+`minimal` uses; its `split` is where the transfer's integer arithmetic
+turns back into `Fraction`s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -228,7 +232,7 @@ def homology_ranks(piece):
     Raises NotAComplex when consecutive maps fail to compose to zero.
     """
     piece.check_composes_to_zero()
-    ranks = [reduce(m)[0] for m in piece.maps]
+    ranks = [len(LinSolver(m.columns()).pivots) for m in piece.maps]
     out = []
     for i, dim in enumerate(piece.dims):
         r_out = ranks[i] if i < len(ranks) else 0
@@ -242,56 +246,127 @@ class LinSolver:
 
     Columns are taken in the given order.  Each one is reduced against
     the stored columns in the order they were stored, and is then stored
-    itself with a leading 1 at its pivot row; stored columns are never
-    touched again.  A column that reduces to zero depends on the earlier
-    ones, and its expression in them is kept as a kernel vector: 1 at
-    its own index, support otherwise on earlier independent columns.
+    itself; stored columns are never touched again.  A column that
+    reduces to zero depends on the earlier ones, and its expression in
+    them is kept as a kernel vector: 1 at its own index, support
+    otherwise on earlier independent columns.
 
     pivots lists the independent columns and kernel maps each dependent
-    column to its kernel vector, both in ascending order.  solve(rhs)
-    walks the stored columns in the same order and returns
-    (coefficients, ok): coefficients over the original columns, zero at
-    the dependent ones, and ok False when rhs lies outside their span.
+    column to its kernel vector ({index: Fraction}), both in ascending
+    order; kernel_ints holds the same vectors as primitive integer
+    vectors, positive at their own column.  solve(rhs) walks the stored
+    columns in the same order and returns (coefficients, ok):
+    coefficients over the original columns, zero at the dependent ones,
+    and ok False when rhs lies outside their span.
+
+    The elimination is fraction-free.  The columns are scaled once by the
+    lcm of their denominators (`scale`).  A column u with entry x at the
+    pivot row of a stored column v, whose entry there is p, becomes
+    (p/g) u - (x/g) v with g = gcd(p, x), and its expression in the
+    scaled columns follows along.  A column is stored with its expression
+    divided by their common content and signed so that its pivot entry,
+    at its smallest row, is positive.  Every vector is then a nonzero
+    multiple of the one elimination over Q would store, so pivots, kernel
+    and solve are exactly those of it; `Fraction`s are made only when
+    `kernel` or `solve` hands a result out (and in `Contraction.split`).
     """
 
-    __slots__ = ("ncols", "pivots", "kernel", "_steps")
+    __slots__ = ("ncols", "pivots", "scale", "kernel_ints", "_steps", "_where")
 
     def __init__(self, columns):
         self.ncols = len(columns)
         self.pivots = []
-        self.kernel = {}
-        # (pivot row, reduced column, its expression in the original columns)
+        self.scale = scale = lcm(
+            *(v.denominator for col in columns for v in col.values())
+        )
+        # (pivot row, scaled column, its expression in the scaled columns)
         self._steps = []
+        self._where = {}  # pivot row -> its step's position in _steps
+        self.kernel_ints = {}
         for idx, col in enumerate(columns):
-            col = {r: Fraction(v) for r, v in col.items() if v}
-            expr = {idx: ONE}
-            for prow, stored, sexpr in self._steps:
-                f = col.get(prow)
-                if f:
-                    _axpy(col, stored, -f)
-                    _axpy(expr, sexpr, -f)
-            if not col:
-                self.kernel[idx] = expr
+            vec = _scaled(col, scale)
+            expr = {idx: 1}
+            self._eliminate(vec, expr)
+            if vec:
+                prow = min(vec)
+                g = gcd(*vec.values(), *expr.values())
+                if vec[prow] < 0:
+                    g = -g
+                if g != 1:
+                    vec = {r: v // g for r, v in vec.items()}
+                    expr = {i: v // g for i, v in expr.items()}
+                self._where[prow] = len(self._steps)
+                self._steps.append((prow, vec, expr))
+                self.pivots.append(idx)
+            else:
+                g = gcd(*expr.values())
+                if expr[idx] < 0:
+                    g = -g
+                if g != 1:
+                    expr = {i: v // g for i, v in expr.items()}
+                self.kernel_ints[idx] = expr
+
+    @property
+    def kernel(self):
+        return {
+            j: {i: Fraction(v, f[j]) for i, v in f.items()}
+            for j, f in self.kernel_ints.items()
+        }
+
+    def _eliminate(self, vec, expr):
+        """Reduce the integer vector vec against the stored columns, in place.
+
+        expr follows every step with the stored expressions.  Returns the
+        product m of the factors vec was multiplied by, so that m times
+        (vec, expr) on entry equals (vec, expr) on return plus an integer
+        combination of the stored (column, expression) pairs.
+
+        A stored column is zero at every earlier pivot row, so a step can
+        only put entries at later ones; a heap of the pending pivot rows'
+        step numbers visits exactly the steps a scan in storage order
+        would act on, in that order.
+        """
+        steps = self._steps
+        where = self._where
+        todo = [where[r] for r in vec if r in where]
+        heapify(todo)
+        m = 1
+        last = -1
+        while todo:
+            k = heappop(todo)
+            if k == last:
                 continue
-            prow = min(col)
-            inv = ONE / col[prow]
-            if inv != 1:
-                col = {r: v * inv for r, v in col.items()}
-                expr = {r: v * inv for r, v in expr.items()}
-            self._steps.append((prow, col, expr))
-            self.pivots.append(idx)
+            last = k
+            prow, col, cexpr = steps[k]
+            x = vec.get(prow)
+            if x:
+                p = col[prow]
+                g = gcd(p, x)
+                if g != p:
+                    a = p // g
+                    m *= a
+                    for r in vec:
+                        vec[r] *= a
+                    for i in expr:
+                        expr[i] *= a
+                b = x // g
+                _axpy(vec, col, -b)
+                _axpy(expr, cexpr, -b)
+                for r in col:
+                    j = where.get(r)
+                    if j is not None and j > k:
+                        heappush(todo, j)
+        return m
 
     def solve(self, rhs):
-        vec = {r: Fraction(v) for r, v in rhs.items() if v}
-        out = {}
-        for prow, col, expr in self._steps:
-            f = vec.get(prow)
-            if f:
-                _axpy(vec, col, -f)
-                _axpy(out, expr, f)
+        den = lcm(*(v.denominator for v in rhs.values()))
+        vec = _scaled(rhs, den)
+        # m den rhs = (vec on return) - sum_i combo[i] * scale * column_i
+        combo = {}
+        m = self._eliminate(vec, combo) * den
         coefs = [ZERO] * self.ncols
-        for i, v in out.items():
-            coefs[i] = v
+        for i, v in combo.items():
+            coefs[i] = Fraction(-v * self.scale, m)
         return coefs, not vec
 
 
@@ -304,47 +379,78 @@ class Contraction:
     sum_f x_f kernel[f] over the free columns f.  That cycle is then
     written in the harmonic columns and the incoming image columns:
 
-        x = sum_a alpha_a harmonic_a + sum_i c_i d(e_sources[i]) + complement
+        x = sum_a alpha_a harmonic_a + sum_i c_i image_i + complement
 
-    split(x) returns (alpha, {sources[i]: c_i}): p(x) as a list of harmonic
+    where image_i = scale * d(e_sources[i]).  split(x) returns
+    (alpha, {sources[i]: scale * c_i}): p(x) as a list of harmonic
     coefficients, and h(x) as a sparse vector one degree down.  The
     homotopy h inverts d from the complement one degree down onto the
     image and vanishes on the harmonic and complement parts, so the
     identities p i = 1, d h + h d = 1 - i p, h i = p h = h h = 0 hold by
     construction (Crainic, arXiv math/0403266); tests check them.
 
+    kernel maps each free column f to a kernel vector of d_out that is
+    nonzero at f, at any nonzero scale, with `int` or `Fraction` entries
+    (`LinSolver.kernel_ints` or `LinSolver.kernel`).  split works on
+    integers and divides once at the end; it is where the transfer's
+    coefficients become `Fraction`s again.
+
     Raises ValueError when the harmonic and image columns are dependent,
     and from split when the cycle part of x is outside their span.
     """
 
-    __slots__ = ("kernel", "nharm", "sources", "_solver")
+    __slots__ = ("nharm", "sources", "scale", "_cycles", "_den", "_solver")
 
-    def __init__(self, kernel, harmonic, image, sources):
-        self.kernel = kernel
+    def __init__(self, kernel, harmonic, image, sources, scale):
         self.nharm = len(harmonic)
         self.sources = list(sources)
+        self.scale = scale
+        cycles = {}
+        for f, vec in kernel.items():
+            if any(type(v) is not int for v in vec.values()):
+                vec = _scaled(vec, lcm(*(v.denominator for v in vec.values())))
+            cycles[f] = vec
+        # (vec, mult): mult * vec is _den times the kernel vector normalized at f
+        self._den = den = lcm(*(vec[f] for f, vec in cycles.items()))
+        self._cycles = {f: (vec, den // vec[f]) for f, vec in cycles.items()}
         self._solver = LinSolver(list(harmonic) + list(image))
-        if self._solver.kernel:
+        if self._solver.kernel_ints:
             raise ValueError("harmonic and image columns are dependent")
 
     def split(self, vec):
+        cycles = self._cycles
+        picked = [(cycles[f], c) for f, c in vec.items() if c and f in cycles]
+        den = lcm(*(c.denominator for _, c in picked))
         cycle = {}
-        for f, kvec in self.kernel.items():
-            c = vec.get(f)
-            if c:
-                _axpy(cycle, kvec, c)
-        coefs, ok = self._solver.solve(cycle)
-        if not ok:
+        for (kvec, mult), c in picked:
+            _axpy(cycle, kvec, mult * c.numerator * (den // c.denominator))
+        combo = {}
+        m = self._solver._eliminate(cycle, combo) * den * self._den
+        if cycle:
             raise ValueError("cycle failed to decompose")
+        num = -self._solver.scale
         nharm = self.nharm
-        pre = {src: c for src, c in zip(self.sources, coefs[nharm:]) if c}
-        return coefs[:nharm], pre
+        harm = [ZERO] * nharm
+        pre = {}
+        for i in sorted(combo):
+            if i < nharm:
+                harm[i] = Fraction(combo[i] * num, m)
+            else:
+                pre[self.sources[i - nharm]] = Fraction(
+                    combo[i] * num * self.scale, m
+                )
+        return harm, pre
+
+
+def _scaled(vec, den):
+    """den times a sparse vector of rationals, as ints; den clears every denominator."""
+    return {r: v.numerator * (den // v.denominator) for r, v in vec.items() if v}
 
 
 def _axpy(target, source, factor):
     """target += factor * source for sparse dict vectors, dropping zeros."""
     for k, v in source.items():
-        newv = target.get(k, ZERO) + factor * v
+        newv = target.get(k, 0) + factor * v
         if newv:
             target[k] = newv
         else:

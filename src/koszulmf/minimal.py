@@ -43,11 +43,12 @@ from .weyl import (
     MFConfig,
     OperatorElement,
     bigraded_basis,
+    delta_terms,
     differential,
+    differential_columns,
 )
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class BadChoice(ValueError):
@@ -118,6 +119,7 @@ class _Engine:
         self.choice = choice
         self.n = cfg.n
         self.step = cfg.n + 2
+        self.scale = delta_terms(cfg)[0]
         self._bases = {}
         self._outred = {}
         self._pieces = {}
@@ -138,20 +140,15 @@ class _Engine:
         return hit
 
     def outgoing(self, key):
-        """Elimination of d out of the piece: (rank, kernel, pivots, columns)."""
+        """d out of the piece: (pivots, integer kernel, columns of D * d on ints)."""
         hit = self._outred.get(key)
         if hit is None:
             wrep, qnum = key
             basis, _ = self.basis(key)
             _, tindex = self.basis((wrep, qnum + self.step))
-            cols = []
-            for mono in basis:
-                img = differential(
-                    OperatorElement(self.cfg, {mono: ONE}), self.cfg
-                )
-                cols.append({tindex[m]: c for m, c in img.terms.items()})
+            cols = differential_columns(basis, tindex, self.cfg)
             solver = LinSolver(cols)
-            hit = (len(solver.pivots), solver.kernel, solver.pivots, cols)
+            hit = (solver.pivots, solver.kernel_ints, cols)
             self._outred[key] = hit
         return hit
 
@@ -179,12 +176,10 @@ class _Engine:
         if hit is None:
             wrep, qnum = key
             basis, index = self.basis(key)
-            rank_out, kernel, _, _ = self.outgoing(key)
-            rank_prev, _, prev_pivots, prev_cols = self.outgoing(
-                (wrep, qnum - self.step)
-            )
+            pivots, kernel, _ = self.outgoing(key)
+            prev_pivots, _, prev_cols = self.outgoing((wrep, qnum - self.step))
             harm_mask = self.exterior_label(key)
-            hdim = len(basis) - rank_out - rank_prev
+            hdim = len(basis) - len(pivots) - len(prev_pivots)
             if hdim != (0 if harm_mask is None else 1):
                 raise RuntimeError(
                     f"piece {key} has cohomology dimension {hdim}, "
@@ -198,7 +193,7 @@ class _Engine:
                 harmonic.append({index[m]: c for m, c in r.terms.items()})
             image = [prev_cols[c] for c in prev_pivots]
             try:
-                con = Contraction(kernel, harmonic, image, prev_pivots)
+                con = Contraction(kernel, harmonic, image, prev_pivots, self.scale)
             except ValueError as exc:
                 raise RuntimeError(f"piece {key}: {exc}") from exc
             hit = (con, harm_mask)
@@ -300,8 +295,8 @@ def cohomology_dim(w, q, cfg):
     eng = _engine(cfg, None)
     key = (w.rep, int(qnum))
     basis, _ = eng.basis(key)
-    rank_out = eng.outgoing(key)[0]
-    rank_prev = eng.outgoing((key[0], key[1] - eng.step))[0]
+    rank_out = len(eng.outgoing(key)[0])
+    rank_prev = len(eng.outgoing((key[0], key[1] - eng.step))[0])
     return len(basis) - rank_out - rank_prev
 
 

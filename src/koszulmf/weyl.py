@@ -15,6 +15,10 @@ the only operator product.  The curved differential is conjugation by
     delta = sum_j  z_j dtheta_j + a_j (W / z_j) theta_j,
 
 whose square is W times the identity whenever the weights a_j sum to 1.
+Its terms are one table per configuration (`delta_terms`), scaled to
+integers by the lcm D of the denominators of the a_j; `delta` and
+`differential_columns`, which builds a piece's columns of D * d on
+integers without an `OperatorElement` per monomial, both read it.
 
 Gradings: |z_j| = 2/(n+2), |theta_j| = -n/(n+2), |dtheta_j| = n/(n+2);
 the M-weight of z^a theta_S dtheta_T is the class of a + e_S - e_T and
@@ -26,6 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import add
 
 from .lattice import LatticeClass, elements, size
 
@@ -254,16 +260,41 @@ class OperatorElement:
         return "OperatorElement(" + " + ".join(bits) + more + ")"
 
 
-def delta(cfg):
-    """The odd Koszul operator with delta^2 = W."""
+@lru_cache(maxsize=16)
+def delta_terms(cfg):
+    """delta's terms on integers: (D, ((shift, S, T, D * coefficient), ...)).
+
+    D is the lcm of the denominators of the a_j (n+2 for the symmetric
+    weights).  Term j contributes z_j dtheta_j (shift e_j, coefficient 1)
+    and a_j (W/z_j) theta_j (shift 1 - e_j); a monomial times a term is
+    one `clifford_product` lookup with the shift added to its exponents.
+    `delta` and `differential_columns` both read this table.
+    """
     n2 = cfg.nvars
-    terms = {}
+    scale = lcm(*(x.denominator for x in cfg.a))
+    terms = []
     for j in range(n2):
-        ej = tuple(1 if i == j else 0 for i in range(n2))
-        terms[(ej, 0, 1 << j)] = ONE
-        w_over = tuple(0 if i == j else 1 for i in range(n2))
-        terms[(w_over, 1 << j, 0)] = cfg.a[j]
-    return OperatorElement(cfg, terms)
+        terms.append((tuple(int(i == j) for i in range(n2)), 0, 1 << j, scale))
+        if cfg.a[j]:
+            terms.append((
+                tuple(int(i != j) for i in range(n2)),
+                1 << j,
+                0,
+                int(cfg.a[j] * scale),
+            ))
+    return scale, tuple(terms)
+
+
+@lru_cache(maxsize=16)
+def delta(cfg):
+    """The odd Koszul operator with delta^2 = W, one shared element per cfg.
+
+    Callers must not mutate its terms.
+    """
+    scale, terms = delta_terms(cfg)
+    return OperatorElement(
+        cfg, {(shift, s, t): Fraction(c, scale) for shift, s, t, c in terms}
+    )
 
 
 def w_element(cfg):
@@ -278,6 +309,32 @@ def differential(x, cfg):
     left = d * x
     right = x * d
     return left - right if p == 0 else left + right
+
+
+def differential_columns(basis, index, cfg):
+    """Columns of D * d on the listed monomials, as {index[image]: int}.
+
+    index maps the monomials of the target piece to row indices; D is
+    `delta_terms(cfg)[0]`.  Each column is the graded commutator of the
+    monomial with delta's terms, summed on integers; it equals D times
+    `differential` of the monomial, which tests check.
+    """
+    _, terms = delta_terms(cfg)
+    cols = []
+    for a, s, t in basis:
+        odd = (size(s) + size(t)) & 1
+        col = {}
+        for shift, ds, dt, c in terms:
+            b = tuple(map(add, a, shift))
+            for s2, t2, sign in clifford_product(ds, dt, s, t):
+                r = index[(b, s2, t2)]
+                col[r] = col.get(r, 0) + (c if sign > 0 else -c)
+            c_right = c if odd else -c  # -(-1)^|x| x * term
+            for s2, t2, sign in clifford_product(s, t, ds, dt):
+                r = index[(b, s2, t2)]
+                col[r] = col.get(r, 0) + (c_right if sign > 0 else -c_right)
+        cols.append({r: v for r, v in col.items() if v})
+    return cols
 
 
 def bigraded_basis(wclass, qdeg, cfg):

@@ -257,12 +257,24 @@ def test_criterion_05_versality_class(model_n1, model_n2):
     }
     print(f"criterion 05 note: n=1 per-ordering coefficients {table} "
           "(convention dependent, informational only)")
+    # n=3 and n=4 from the (n+2)! singleton orderings alone, no table
+    versal = {}
+    for n in (3, 4):
+        cfg = MFConfig(n)
+        versal[n] = sum(
+            minimal_mu(n + 2, perm, cfg).get(0, 0)
+            for perm in itertools.permutations(1 << i for i in range(n + 2))
+        )
     dt = time.perf_counter() - t0 + build2
     _line(
         5,
         "versality class",
-        obs1 in (1, -1) and obs2 in (1, -1) and dt < 1800,
-        f"n=1: {obs1}, n=2: {obs2}, {dt:.1f}s < 1800s incl. n=2 build",
+        obs1 in (1, -1)
+        and obs2 in (1, -1)
+        and versal == {3: -1, 4: 1}
+        and dt < 1800,
+        f"n=1: {obs1}, n=2: {obs2}, n=3: {versal[3]}, n=4: {versal[4]}, "
+        f"{dt:.1f}s < 1800s incl. n=2 build",
     )
 
 

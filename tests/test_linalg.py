@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -149,6 +150,145 @@ def test_reduce_matches_rref_on_all_small_sign_matrices():
         assert reduce(m) == _rref_reduce(m)
 
 
+def _reference_axpy(target, source, factor):
+    for k, v in source.items():
+        newv = target.get(k, ZERO) + factor * v
+        if newv:
+            target[k] = newv
+        else:
+            target.pop(k, None)
+
+
+def _reference_linsolver(columns):
+    """`LinSolver` as it was before it went fraction-free: the oracle.
+
+    The same forward-only elimination on `Fraction` columns, each stored
+    column normalized to a leading 1.  Returns (pivots, kernel, solve).
+    """
+    pivots, kernel, steps = [], {}, []
+    for idx, col in enumerate(columns):
+        col = {r: Fraction(v) for r, v in col.items() if v}
+        expr = {idx: ONE}
+        for prow, stored, sexpr in steps:
+            f = col.get(prow)
+            if f:
+                _reference_axpy(col, stored, -f)
+                _reference_axpy(expr, sexpr, -f)
+        if not col:
+            kernel[idx] = expr
+            continue
+        prow = min(col)
+        inv = ONE / col[prow]
+        if inv != 1:
+            col = {r: v * inv for r, v in col.items()}
+            expr = {r: v * inv for r, v in expr.items()}
+        steps.append((prow, col, expr))
+        pivots.append(idx)
+
+    def solve(rhs):
+        vec = {r: Fraction(v) for r, v in rhs.items() if v}
+        out = {}
+        for prow, col, expr in steps:
+            f = vec.get(prow)
+            if f:
+                _reference_axpy(vec, col, -f)
+                _reference_axpy(out, expr, f)
+        coefs = [ZERO] * len(columns)
+        for i, v in out.items():
+            coefs[i] = v
+        return coefs, not vec
+
+    return pivots, kernel, solve
+
+
+def _assert_matches_reference(columns, rhs_list):
+    solver = LinSolver(columns)
+    pivots, kernel, solve = _reference_linsolver(columns)
+    assert solver.pivots == pivots
+    got = solver.kernel
+    assert got == kernel
+    assert all(type(v) is Fraction for vec in got.values() for v in vec.values())
+    for rhs in rhs_list:
+        coefs, ok = solver.solve(rhs)
+        assert (coefs, ok) == solve(rhs)
+        assert all(type(c) is Fraction for c in coefs)
+
+
+def test_linsolver_matches_reference_on_all_small_sign_matrices():
+    rhs_list = [
+        {r: F(v) for r, v in enumerate(values) if v}
+        for values in product((-1, 0, 1), repeat=2)
+    ] + [{0: F(1, 2), 1: F(-2, 3)}]
+    for values in product((-1, 0, 1), repeat=6):
+        cols = [
+            {r: F(values[3 * r + c]) for r in range(2) if values[3 * r + c]}
+            for c in range(3)
+        ]
+        _assert_matches_reference(cols, rhs_list)
+
+
+def _random_rational(rng):
+    """Mostly small fractions over mixed denominators, sometimes a plain int."""
+    if rng.random() < 0.3:
+        return rng.randint(-5, 5)
+    return F(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 7, 9)))
+
+
+def _random_dependent_columns(rng, nrows, ncols):
+    """Sparse rational columns, some of them combinations of earlier ones."""
+    cols = []
+    for _ in range(ncols):
+        roll = rng.random()
+        if cols and roll < 0.3:
+            col = {}
+            for src in rng.sample(cols, min(len(cols), rng.randint(1, 3))):
+                _reference_axpy(col, src, F(_random_rational(rng)))
+        elif roll < 0.35:
+            col = {}
+        else:
+            col = {
+                r: _random_rational(rng)
+                for r in range(nrows)
+                if rng.random() < 0.4
+            }
+        cols.append({r: v for r, v in col.items() if v})
+    return cols
+
+
+def _random_rhs(rng, cols, nrows):
+    inside = {}
+    for src in cols:
+        if rng.random() < 0.5:
+            _reference_axpy(inside, src, F(_random_rational(rng)))
+    outside = {r: F(_random_rational(rng)) for r in range(nrows)}
+    return [{}, inside, outside, {r: v for r, v in outside.items() if v}]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_linsolver_matches_reference_on_random_rational_matrices(seed):
+    rng = random.Random(seed)
+    for _ in range(25):
+        nrows = rng.randint(1, 9)
+        cols = _random_dependent_columns(rng, nrows, rng.randint(1, 12))
+        rhs_list = _random_rhs(rng, cols, nrows) + _random_rhs(rng, cols, nrows)
+        _assert_matches_reference(cols, rhs_list)
+
+
+def test_linsolver_stores_primitive_integer_columns():
+    # the content of every stored column and kernel vector is divided out,
+    # which keeps the integers from growing with the number of steps
+    rng = random.Random(2024)
+    for _ in range(60):
+        solver = LinSolver(_random_dependent_columns(rng, 7, 10))
+        for prow, col, expr in solver._steps:
+            assert prow == min(col) and col[prow] > 0
+            assert gcd(*col.values(), *expr.values()) == 1
+            assert all(type(v) is int for v in (*col.values(), *expr.values()))
+        for j, vec in solver.kernel_ints.items():
+            assert vec[j] > 0 and gcd(*vec.values()) == 1
+            assert all(type(v) is int for v in vec.values())
+
+
 def test_linsolver_records_dependent_columns():
     cols = [{0: F(1)}, {0: F(2)}, {1: F(1)}, {0: F(1), 1: F(-3)}]
     solver = LinSolver(cols)
@@ -251,7 +391,7 @@ def _check_complex(piece):
         inc = LinSolver(d_in.columns())
         image = [d_in.column(c) for c in inc.pivots]
         harmonic = _pick_harmonic(image, list(out.kernel.values()))
-        con = Contraction(out.kernel, harmonic, image, inc.pivots)
+        con = Contraction(out.kernel, harmonic, image, inc.pivots, 1)
         parts.append(contraction_parts(con, harmonic, dim, d_in.cols))
     assert [i.cols for i, _, _ in parts] == [0] + homology_ranks(piece) + [0]
     for k in range(1, len(dims) - 1):
@@ -275,9 +415,9 @@ def test_contraction_respects_known_homology():
 
 def test_contraction_rejects_dependent_columns():
     with pytest.raises(ValueError):
-        Contraction({}, [{0: F(1)}], [{0: F(2)}], [0])
+        Contraction({}, [{0: F(1)}], [{0: F(2)}], [0], 1)
     # a cycle e_1 outside the span of the image column e_0
-    con = Contraction({1: {1: F(1)}}, [], [{0: F(1)}], [0])
+    con = Contraction({1: {1: F(1)}}, [], [{0: F(1)}], [0], 1)
     with pytest.raises(ValueError):
         con.split({1: F(1)})
 

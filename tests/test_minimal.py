@@ -143,7 +143,8 @@ def _engine_at(kmask, n=1):
 
 def _engine_d_out(eng, key):
     dim_above = len(eng.basis((key[0], key[1] + eng.step))[0])
-    return SparseMatrix.from_columns(dim_above, eng.outgoing(key)[3])
+    scaled = SparseMatrix.from_columns(dim_above, eng.outgoing(key)[2])
+    return scaled.scale(F(1, eng.scale))
 
 
 def test_contraction_for_piece_identities():
@@ -206,8 +207,8 @@ def test_engine_contraction_identities():
 
     def d_out(key):
         return SparseMatrix.from_columns(
-            dim((key[0], key[1] + eng.step)), eng.outgoing(key)[3]
-        )
+            dim((key[0], key[1] + eng.step)), eng.outgoing(key)[2]
+        ).scale(F(1, eng.scale))
 
     def parts(key):
         con, harm_mask = eng.piece(key)
@@ -232,6 +233,35 @@ def test_engine_contraction_identities():
             alpha, h = eng.split(dbar_product(kmask, choice, cfg), key)
             assert alpha == {kmask: F(1)}
             assert h.is_zero()
+
+
+@pytest.mark.parametrize(
+    "cfg, arities, scale",
+    [
+        (MFConfig(1), (2, 3, 4), 3),
+        (MFConfig(2), (2, 4), 4),
+        (MFConfig(1, (F(1, 2), F(1, 3), F(1, 6))), (2, 3, 4), 6),
+    ],
+)
+def test_outgoing_columns_match_differential(cfg, arities, scale):
+    # every outgoing map the build touches holds D * d on ints, with D the
+    # lcm of the weights' denominators; differential() is the reference
+    n = cfg.n
+    eng = _Engine(cfg, CohomologyBasisChoice.default(n))
+    for k in arities:
+        for tup in admissible_tuples(n, k, (k - 2) // n):
+            eng.mu(tup)
+    assert eng.scale == scale
+    assert eng._outred
+    for key in eng._outred:
+        basis, _ = eng.basis(key)
+        _, tindex = eng.basis((key[0], key[1] + eng.step))
+        for mono, col in zip(basis, eng.outgoing(key)[2], strict=True):
+            assert all(type(v) is int for v in col.values())
+            image = differential(OperatorElement(cfg, {mono: F(1)}), cfg)
+            assert {r: F(v, scale) for r, v in col.items()} == {
+                tindex[m]: c for m, c in image.terms.items()
+            }
 
 
 def test_mu2_on_generators():

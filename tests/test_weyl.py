@@ -271,6 +271,7 @@ def test_delta_terms_symmetric_weights():
         ((1, 1, 0), 0b100, 0): F(1, 3),
     }
     assert d.terms == expected
+    assert delta(MFConfig(1)) is d  # one shared element per configuration
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
