@@ -289,22 +289,12 @@ class LinSolver:
             self._eliminate(vec, expr)
             if vec:
                 prow = min(vec)
-                g = gcd(*vec.values(), *expr.values())
-                if vec[prow] < 0:
-                    g = -g
-                if g != 1:
-                    vec = {r: v // g for r, v in vec.items()}
-                    expr = {i: v // g for i, v in expr.items()}
+                vec, expr = _primitive(vec, expr, vec[prow])
                 self._where[prow] = len(self._steps)
                 self._steps.append((prow, vec, expr))
                 self.pivots.append(idx)
             else:
-                g = gcd(*expr.values())
-                if expr[idx] < 0:
-                    g = -g
-                if g != 1:
-                    expr = {i: v // g for i, v in expr.items()}
-                self.kernel_ints[idx] = expr
+                self.kernel_ints[idx] = _primitive(vec, expr, expr[idx])[1]
 
     @property
     def kernel(self):
@@ -440,6 +430,16 @@ class Contraction:
                     combo[i] * num * self.scale, m
                 )
         return harm, pre
+
+
+def _primitive(vec, expr, lead):
+    """vec and expr divided by their common content, signed to make lead positive."""
+    g = gcd(*vec.values(), *expr.values())
+    if lead < 0:
+        g = -g
+    if g == 1:
+        return vec, expr
+    return {r: v // g for r, v in vec.items()}, {i: v // g for i, v in expr.items()}
 
 
 def _scaled(vec, den):
