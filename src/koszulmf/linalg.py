@@ -260,7 +260,7 @@ class LinSolver:
     and ok False when rhs lies outside their span.
 
     The elimination is fraction-free.  The columns are scaled once by the
-    lcm of their denominators (`scale`).  A column u with entry x at the
+    lcm of their denominators.  A column u with entry x at the
     pivot row of a stored column v, whose entry there is p, becomes
     (p/g) u - (x/g) v with g = gcd(p, x), and its expression in the
     scaled columns follows along.  A column is stored with its expression
@@ -271,12 +271,12 @@ class LinSolver:
     `kernel` or `solve` hands a result out (and in `Contraction.split`).
     """
 
-    __slots__ = ("ncols", "pivots", "scale", "kernel_ints", "_steps", "_where")
+    __slots__ = ("ncols", "pivots", "kernel_ints", "_scale", "_steps", "_where")
 
     def __init__(self, columns):
         self.ncols = len(columns)
         self.pivots = []
-        self.scale = scale = lcm(
+        self._scale = scale = lcm(
             *(v.denominator for col in columns for v in col.values())
         )
         # (pivot row, scaled column, its expression in the scaled columns)
@@ -351,12 +351,12 @@ class LinSolver:
     def solve(self, rhs):
         den = lcm(*(v.denominator for v in rhs.values()))
         vec = _scaled(rhs, den)
-        # m den rhs = (vec on return) - sum_i combo[i] * scale * column_i
+        # m den rhs = (vec on return) - sum_i combo[i] * _scale * column_i
         combo = {}
         m = self._eliminate(vec, combo) * den
         coefs = [ZERO] * self.ncols
         for i, v in combo.items():
-            coefs[i] = Fraction(-v * self.scale, m)
+            coefs[i] = Fraction(-v * self._scale, m)
         return coefs, not vec
 
 
@@ -418,7 +418,7 @@ class Contraction:
         m = self._solver._eliminate(cycle, combo) * den * self._den
         if cycle:
             raise ValueError("cycle failed to decompose")
-        num = -self._solver.scale
+        num = -self._solver._scale
         nharm = self.nharm
         harm = [ZERO] * nharm
         pre = {}
