@@ -72,11 +72,14 @@ def _subset(mask):
     return list(elements(mask))
 
 
-def _parse_subset(token):
+def _parse_subset(token, n):
     token = token.strip()
     if token in ("-", ""):
         return 0
-    return from_elements(int(p) for p in token.split(","))
+    elems = [int(p) for p in token.split(",")]
+    if not all(1 <= e <= n + 2 for e in elems):
+        raise ValueError(f"subset indices must lie in 1..{n + 2}")
+    return from_elements(elems)
 
 
 def _is_int(x):
@@ -123,24 +126,27 @@ def _model_payload(n, weights, aux, alg):
 def _load_model_file(path):
     with open(path) as fh:
         doc = json.load(fh)
-    if isinstance(doc.get("results"), dict) and "model" in doc["results"]:
-        doc = doc["results"]["model"]
-    if doc.get("schema") != MODEL_SCHEMA:
+    if isinstance(doc, dict) and isinstance(doc.get("results"), dict):
+        doc = doc["results"].get("model", doc)
+    if not isinstance(doc, dict) or doc.get("schema") != MODEL_SCHEMA:
         raise ValueError(f"{path}: not a {MODEL_SCHEMA} document")
-    basis, zdeg, qdeg, wt = [], {}, {}, {}
-    for g in doc["generators"]:
-        m = from_elements(g["subset"])
-        basis.append(m)
-        zdeg[m] = int(g["zdeg"])
-        qdeg[m] = Fraction(g["qdeg"])
-        wt[m] = LatticeClass(g["weight"])
-    ops = {}
-    for key, rows in doc["tables"].items():
-        table = {}
-        for out, ins, num, den in rows:
-            masks = tuple(from_elements(i) for i in ins)
-            table[(from_elements(out), masks)] = Fraction(num, den)
-        ops[int(key)] = table
+    basis, zdeg, qdeg, wt, ops = [], {}, {}, {}, {}
+    try:
+        for g in doc["generators"]:
+            m = from_elements(g["subset"])
+            basis.append(m)
+            zdeg[m] = int(g["zdeg"])
+            qdeg[m] = Fraction(g["qdeg"])
+            wt[m] = LatticeClass(g["weight"])
+        for key, rows in doc["tables"].items():
+            table = {}
+            for out, ins, num, den in rows:
+                masks = tuple(from_elements(i) for i in ins)
+                table[(from_elements(out), masks)] = Fraction(num, den)
+            ops[int(key)] = table
+    except (AttributeError, TypeError, ZeroDivisionError) as exc:
+        # a generator, table or row of the wrong shape, or a zero denominator
+        raise ValueError(f"{path}: malformed {MODEL_SCHEMA} document: {exc}") from exc
     return doc, FiniteAInftyAlgebra(basis, zdeg, ops, wt, qdeg)
 
 
@@ -273,14 +279,14 @@ def _cmd_hkr(args):
 
 
 def _cmd_zonotope(args):
-    piece, cells = zonotope_complex(args.n)
+    maps, cells = zonotope_complex(args.n)
     counts = [len(layer) for layer in cells]
     expected = [
         comb(args.n + 2, l) * (2 ** (args.n + 2 - l) - 2)
         for l in range(args.n + 1)
     ]
     euler = sum((-1) ** d * c for d, c in enumerate(counts))
-    ranks = homology_ranks(piece)
+    ranks = homology_ranks(counts, maps)
     sphere = [1] + [0] * (args.n - 1) + [1]
     ok = (
         counts == expected
@@ -343,8 +349,10 @@ def _cmd_morse(args):
 
 
 def _cmd_pearl_degree(args):
-    k0 = _parse_subset(args.k0)
-    inputs = [_parse_subset(tok) for tok in args.inputs]
+    if args.n < 1:
+        raise ValueError("need n >= 1")
+    k0 = _parse_subset(args.k0, args.n)
+    inputs = [_parse_subset(tok, args.n) for tok in args.inputs]
     degree = pearl_degree(k0, inputs, args.n)
     return {
         "k0": _subset(k0),
@@ -521,11 +529,18 @@ _HANDLERS = {
 }
 
 
+def _tolerance(text):
+    value = float(text)
+    if not 0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError("tolerance must be finite and >= 0")
+    return value
+
+
 def _build_parser():
     tolerance = argparse.ArgumentParser(add_help=False)
     tolerance.add_argument(
         "--tolerance",
-        type=float,
+        type=_tolerance,
         default=1e-9,
         help="tolerance for float-based geometric checks",
     )

@@ -1,240 +1,67 @@
 """Exact linear algebra over Q for finite (co)chain complexes.
 
-Ranks, kernels and homology are exact.  Matrices are sparse (dict keyed
-by (row, col)) with `fractions.Fraction` entries.
+Ranks, kernels and homology are exact.  A matrix is a list of sparse
+columns, one dict {row: value} per column, with `int` or
+`fractions.Fraction` values; `compose` multiplies two of them.
 
 There is one elimination kernel, `LinSolver`: incremental elimination
 over columns in their given order.  One pass gives the independent
 columns, the canonical kernel and a solver for many right-hand sides;
-`reduce` and `homology_ranks` are built on it.  It accepts `int` or
-`Fraction` columns and eliminates on integers (fraction-free), so
-`Fraction`s are made only where a result is handed out.  There is one
-contraction, `Contraction`, the per-degree splitting the transfer in
-`minimal` uses; its `split` is where the transfer's integer arithmetic
-turns back into `Fraction`s.
+`homology_ranks` is built on it.  It accepts `int` or `Fraction`
+columns and eliminates on integers (fraction-free), so `Fraction`s are
+made only where a result is handed out.  There is one contraction,
+`Contraction`, the per-degree splitting the transfer in `minimal` uses;
+its `split` is where the transfer's integer arithmetic turns back into
+`Fraction`s.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class NotAComplex(ValueError):
     """Raised when consecutive maps do not compose to zero."""
 
 
-class SparseMatrix:
-    """Immutable-by-convention sparse matrix over Q.
-
-    Entries are stored as a dict {(row, col): Fraction} holding only
-    nonzeros.  Construction copies and drops explicit zeros.
-    """
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows, cols, entries=None):
-        if rows < 0 or cols < 0:
-            raise ValueError("negative matrix dimensions")
-        self.rows = rows
-        self.cols = cols
-        cleaned = {}
-        if entries:
-            for (r, c), v in entries.items():
-                if not (0 <= r < rows and 0 <= c < cols):
-                    raise ValueError(f"entry ({r},{c}) out of range")
-                v = Fraction(v)
-                if v:
-                    cleaned[(r, c)] = v
-        self.entries = cleaned
-
-    @classmethod
-    def identity(cls, n):
-        return cls(n, n, {(i, i): ONE for i in range(n)})
-
-    @classmethod
-    def zero(cls, rows, cols):
-        return cls(rows, cols)
-
-    @classmethod
-    def from_rows(cls, rows_data):
-        """Build from a list of row lists (dense input, e.g. in tests)."""
-        nrows = len(rows_data)
-        ncols = len(rows_data[0]) if rows_data else 0
-        entries = {}
-        for r, row in enumerate(rows_data):
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
-            for c, v in enumerate(row):
-                v = Fraction(v)
-                if v:
-                    entries[(r, c)] = v
-        return cls(nrows, ncols, entries)
-
-    @classmethod
-    def from_columns(cls, nrows, columns):
-        """Build from a list of sparse columns (dict row -> value)."""
-        entries = {}
-        for c, col in enumerate(columns):
-            for r, v in col.items():
-                v = Fraction(v)
-                if v:
-                    entries[(r, c)] = v
-        return cls(nrows, len(columns), entries)
-
-    def get(self, r, c):
-        return self.entries.get((r, c), ZERO)
-
-    def column(self, c):
-        return {r: v for (r, cc), v in self.entries.items() if cc == c}
-
-    def columns(self):
-        cols = [dict() for _ in range(self.cols)]
-        for (r, c), v in self.entries.items():
-            cols[c][r] = v
-        return cols
-
-    def row_dicts(self):
-        rows = [dict() for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            rows[r][c] = v
-        return rows
-
-    def transpose(self):
-        return SparseMatrix(
-            self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()}
-        )
-
-    def __mul__(self, other):
-        if not isinstance(other, SparseMatrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matrix product")
-        by_row = {}
-        for (r, c), v in self.entries.items():
-            by_row.setdefault(r, {})[c] = v
-        other_rows = {}
-        for (r, c), v in other.entries.items():
-            other_rows.setdefault(r, {})[c] = v
-        entries = {}
-        for r, row in by_row.items():
-            acc = {}
-            for k, v in row.items():
-                orow = other_rows.get(k)
-                if not orow:
-                    continue
-                for c, w in orow.items():
-                    acc[c] = acc.get(c, ZERO) + v * w
-            for c, total in acc.items():
-                if total:
-                    entries[(r, c)] = total
-        return SparseMatrix(self.rows, other.cols, entries)
-
-    def __add__(self, other):
-        if not isinstance(other, SparseMatrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in matrix sum")
-        entries = dict(self.entries)
-        for key, v in other.entries.items():
-            entries[key] = entries.get(key, ZERO) + v
-        return SparseMatrix(self.rows, self.cols, entries)
-
-    def __sub__(self, other):
-        return self + other.scale(Fraction(-1))
-
-    def scale(self, a):
-        a = Fraction(a)
-        return SparseMatrix(
-            self.rows, self.cols, {k: a * v for k, v in self.entries.items()}
-        )
-
-    def apply(self, vec):
-        """Apply to a sparse vector (dict index -> Fraction)."""
-        out = {}
-        for (r, c), v in self.entries.items():
-            x = vec.get(c)
-            if x:
-                out[r] = out.get(r, ZERO) + v * x
-        return {r: v for r, v in out.items() if v}
-
-    def is_zero(self):
-        return not self.entries
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SparseMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        raise TypeError("SparseMatrix is not hashable")
-
-    def __repr__(self):
-        return f"SparseMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
+def compose(outer, inner):
+    """Columns of outer o inner; the rows of inner's columns index outer's columns."""
+    out = []
+    for col in inner:
+        acc = {}
+        for k, v in col.items():
+            _axpy(acc, outer[k], v)
+        out.append(acc)
+    return out
 
 
-def reduce(matrix):
-    """Echelon data of a matrix: (rank, kernel_basis, pivot_columns).
-
-    A thin wrapper over `LinSolver` on the columns.  The kernel basis has
-    one vector per free column f, with entry 1 at f and support otherwise
-    on the pivot columns before f; that vector is unique, so it is the
-    one read off the reduced row echelon form.  Vectors are dense lists
-    of Fractions, ordered by ascending free column.
-    """
-    solver = LinSolver(matrix.columns())
-    kernel = []
-    for vec in solver.kernel.values():
-        dense = [ZERO] * matrix.cols
-        for i, v in vec.items():
-            dense[i] = v
-        kernel.append(dense)
-    return len(solver.pivots), kernel, solver.pivots
-
-
-@dataclass
-class ChainComplexPiece:
-    """A bounded complex of Q-vector spaces.
-
-    dims[i] is the dimension of the i-th space and maps[i] sends space i
-    to space i+1 (so maps[i] has shape dims[i+1] x dims[i]).  Whether
-    the index is a chain or cochain degree is up to the caller.
-    """
-
-    dims: list
-    maps: list
-
-    def __post_init__(self):
-        if len(self.maps) != max(len(self.dims) - 1, 0):
-            raise ValueError("need exactly len(dims)-1 maps")
-        for i, m in enumerate(self.maps):
-            if (m.rows, m.cols) != (self.dims[i + 1], self.dims[i]):
-                raise ValueError(f"map {i} has shape {m.rows}x{m.cols}, "
-                                 f"expected {self.dims[i + 1]}x{self.dims[i]}")
-
-    def check_composes_to_zero(self):
-        for i in range(len(self.maps) - 1):
-            if not (self.maps[i + 1] * self.maps[i]).is_zero():
-                raise NotAComplex(f"d o d != 0 between degrees {i} and {i + 2}")
-
-
-def homology_ranks(piece):
+def homology_ranks(dims, maps):
     """Homology dimensions of a bounded complex, one per degree.
 
-    Raises NotAComplex when consecutive maps fail to compose to zero.
+    dims[i] is the dimension of the i-th space and maps[i], the map from
+    space i to space i+1, is a list of dims[i] sparse columns with rows
+    below dims[i+1].  Whether the index is a chain or cochain degree is
+    up to the caller.  Raises ValueError on a shape mismatch and
+    NotAComplex when consecutive maps fail to compose to zero.
     """
-    piece.check_composes_to_zero()
-    ranks = [len(LinSolver(m.columns()).pivots) for m in piece.maps]
+    if len(maps) != max(len(dims) - 1, 0):
+        raise ValueError("need exactly len(dims)-1 maps")
+    for i, m in enumerate(maps):
+        if len(m) != dims[i] or any(
+            not 0 <= r < dims[i + 1] for col in m for r in col
+        ):
+            raise ValueError(f"map {i} must have {dims[i]} columns "
+                             f"with rows below {dims[i + 1]}")
+    for i in range(len(maps) - 1):
+        if any(compose(maps[i + 1], maps[i])):
+            raise NotAComplex(f"d o d != 0 between degrees {i} and {i + 2}")
+    ranks = [len(LinSolver(m).pivots) for m in maps]
     out = []
-    for i, dim in enumerate(piece.dims):
+    for i, dim in enumerate(dims):
         r_out = ranks[i] if i < len(ranks) else 0
         r_in = ranks[i - 1] if i > 0 else 0
         out.append(dim - r_out - r_in)
@@ -379,11 +206,10 @@ class Contraction:
     identities p i = 1, d h + h d = 1 - i p, h i = p h = h h = 0 hold by
     construction (Crainic, arXiv math/0403266); tests check them.
 
-    kernel maps each free column f to a kernel vector of d_out that is
-    nonzero at f, at any nonzero scale, with `int` or `Fraction` entries
-    (`LinSolver.kernel_ints` or `LinSolver.kernel`).  split works on
-    integers and divides once at the end; it is where the transfer's
-    coefficients become `Fraction`s again.
+    kernel maps each free column f to an integer kernel vector of d_out
+    that is nonzero at f, at any nonzero scale (`LinSolver.kernel_ints`).
+    split works on integers and divides once at the end; it is where the
+    transfer's coefficients become `Fraction`s again.
 
     Raises ValueError when the harmonic and image columns are dependent,
     and from split when the cycle part of x is outside their span.
@@ -395,14 +221,9 @@ class Contraction:
         self.nharm = len(harmonic)
         self.sources = list(sources)
         self.scale = scale
-        cycles = {}
-        for f, vec in kernel.items():
-            if any(type(v) is not int for v in vec.values()):
-                vec = _scaled(vec, lcm(*(v.denominator for v in vec.values())))
-            cycles[f] = vec
         # (vec, mult): mult * vec is _den times the kernel vector normalized at f
-        self._den = den = lcm(*(vec[f] for f, vec in cycles.items()))
-        self._cycles = {f: (vec, den // vec[f]) for f, vec in cycles.items()}
+        self._den = den = lcm(*(vec[f] for f, vec in kernel.items()))
+        self._cycles = {f: (vec, den // vec[f]) for f, vec in kernel.items()}
         self._solver = LinSolver(list(harmonic) + list(image))
         if self._solver.kernel_ints:
             raise ValueError("harmonic and image columns are dependent")

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations, product
 
 from .lattice import (
@@ -52,7 +53,8 @@ ZERO = Fraction(0)
 
 
 class BadChoice(ValueError):
-    """Raised when an auxiliary index k(j) coincides with j."""
+    """Raised when an auxiliary index k(j) coincides with j, or when a
+    choice does not have one index per variable."""
 
 
 class ArityBound(ValueError):
@@ -273,18 +275,21 @@ class _Engine:
         return alpha
 
 
-_ENGINES = {}
-
-
 def _engine(cfg, choice):
+    """The shared engine for (cfg, choice); None means the default choice."""
     if choice is None:
         choice = CohomologyBasisChoice.default(cfg.n)
-    key = (cfg, choice)
-    eng = _ENGINES.get(key)
-    if eng is None:
-        eng = _Engine(cfg, choice)
-        _ENGINES[key] = eng
-    return eng
+    if len(choice.aux) != cfg.nvars:
+        raise BadChoice(
+            f"need {cfg.nvars} auxiliary indices, got {len(choice.aux)}"
+        )
+    return _cached_engine(cfg, choice)
+
+
+@lru_cache(maxsize=16)
+def _cached_engine(cfg, choice):
+    """Engines by (cfg, choice), at most 16; cache_info() reports how many."""
+    return _Engine(cfg, choice)
 
 
 def cohomology_dim(w, q, cfg):
@@ -348,16 +353,6 @@ class MinimalModel:
     def n(self):
         return self.cfg.n
 
-    def mu(self, k, inputs):
-        table = self.tables.get(k)
-        if not table:
-            return {}
-        out = {}
-        for (k0, ins), coef in table.items():
-            if ins == tuple(inputs):
-                out[k0] = coef
-        return out
-
 
 def admissible_tuples(n, k, q):
     """All K-tuples of length k whose multiplicity vector is e_K0 + q*1.
@@ -394,8 +389,7 @@ def build_minimal_model(cfg, choice=None, arities=None, arity_bound=None):
     """
     n = cfg.n
     bound = arity_bound if arity_bound is not None else 2 * n + 4
-    if choice is None:
-        choice = CohomologyBasisChoice.default(n)
+    choice = _engine(cfg, choice).choice
     if arities is None:
         arities = [k for k in (2 + n * q for q in range(n + 1)) if k <= n + 2]
     tables = {}

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import cosh, pi
 
 from .lattice import e_vec, elements, full_mask, size
-from .linalg import ChainComplexPiece, SparseMatrix
+from .linalg import compose
 
 ONE = Fraction(1)
 
@@ -52,14 +52,15 @@ class ZonotopeCell:
 
 
 def zonotope_complex(n):
-    """All boundary cells with exact boundary matrices.
+    """All boundary cells with exact coboundary matrices.
 
-    Returns (piece, cells): cells[d] lists the d-cells (sorted by the
-    (L, J) masks), and piece is the complex of those spaces, indexed by
-    cell dimension.  Codimension-one faces of a cell move one free index
-    l into J (sign (-1)^{position of l in sorted L}) or into K (opposite
-    sign); the boundary squaring to zero is asserted, as the arbiter of
-    that convention.
+    Returns (maps, cells): cells[d] lists the d-cells (sorted by the
+    (L, J) masks), and maps[d] is the coboundary from d-cells to
+    (d+1)-cells as one sparse column {(d+1)-cell: sign} per d-cell, the
+    format of `linalg.homology_ranks`.  Codimension-one faces of a cell
+    move one free index l into J (sign (-1)^{position of l in sorted L})
+    or into K (opposite sign); the boundary squaring to zero is
+    asserted, as the arbiter of that convention.
     """
     if n < 1:
         raise ValueError("the zonotope boundary needs n >= 1")
@@ -82,32 +83,24 @@ def zonotope_complex(n):
     for d in range(n + 1):
         cells[d].sort(key=lambda c: (c.l, c.j))
     index = {
-        (c.j, c.k, c.l): (d, i)
+        (c.j, c.k, c.l): i
         for d in range(n + 1)
         for i, c in enumerate(cells[d])
     }
-    boundaries = []
+    maps = []
     for d in range(1, n + 1):
-        entries = {}
+        cob = [{} for _ in cells[d - 1]]
         for col, cell in enumerate(cells[d]):
             for pos, l in enumerate(elements(cell.l)):
                 bit = 1 << (l - 1)
                 sign = -1 if pos % 2 else 1
-                row = index[(cell.j | bit, cell.k, cell.l ^ bit)][1]
-                entries[(row, col)] = Fraction(sign)
-                row = index[(cell.j, cell.k | bit, cell.l ^ bit)][1]
-                entries[(row, col)] = Fraction(-sign)
-        boundaries.append(
-            SparseMatrix(len(cells[d - 1]), len(cells[d]), entries)
-        )
-    for d in range(len(boundaries) - 1):
-        if not (boundaries[d] * boundaries[d + 1]).is_zero():
+                cob[index[(cell.j | bit, cell.k, cell.l ^ bit)]][col] = sign
+                cob[index[(cell.j, cell.k | bit, cell.l ^ bit)]][col] = -sign
+        maps.append(cob)
+    for d in range(len(maps) - 1):
+        if any(compose(maps[d + 1], maps[d])):
             raise RuntimeError("zonotope boundary does not square to zero")
-    piece = ChainComplexPiece(
-        [len(cells[d]) for d in range(n + 1)],
-        [b.transpose() for b in boundaries],
-    )
-    return piece, cells
+    return maps, cells
 
 
 def coamoeba_classify(theta, tol=1e-9):

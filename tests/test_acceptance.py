@@ -398,13 +398,13 @@ def test_criterion_10_sphere_complex():
     ok = True
     totals = {}
     for n in range(1, 5):
-        piece, cells = zonotope_complex(n)
+        maps, cells = zonotope_complex(n)
         counts = [len(layer) for layer in cells]
         expected = [
             comb(n + 2, l) * (2 ** (n + 2 - l) - 2) for l in range(n + 1)
         ]
         euler = sum((-1) ** d * c for d, c in enumerate(counts))
-        ranks = homology_ranks(piece)
+        ranks = homology_ranks(counts, maps)
         sphere = [1] + [0] * (n - 1) + [1]
         totals[n] = sum(counts)
         ok = (

@@ -45,6 +45,19 @@ def test_usage_and_precondition_errors(capsys):
     assert run_cli(["zonotope", "--n", "2", "--tolerance", "1e-3"],
                    capsys)[0] == 2
     assert run_cli(["mf-check", "--n", "1", "--samples", "-3"], capsys)[0] == 2
+    for argv in (
+        ["pearl-degree", "--n", "1", "--k0", "-", "--inputs", "1", "2", "7"],
+        ["pearl-degree", "--n", "1", "--k0", "4", "--inputs", "1", "2", "3"],
+        ["pearl-degree", "--n", "0", "--k0", "-", "--inputs", "1", "2"],
+        ["coamoeba", "--theta", "0,1,2", "--tolerance", "nan"],
+        ["coamoeba", "--theta", "0,1,2", "--tolerance", "inf"],
+        ["coamoeba", "--theta", "0,1,2", "--tolerance", "-5"],
+        ["morse", "--n", "1", "--tolerance", "-5"],
+        ["minimal-model", "--n", "1", "--dbar-aux", "2,1"],
+        ["minimal-model", "--n", "1", "--dbar-aux", "2,1,1,1"],
+    ):
+        assert run_cli(argv, capsys)[0] == 2, argv
+    assert run_cli(["coamoeba", "--theta", "0", "--tolerance", "0"], capsys)[0] == 0
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):
@@ -195,6 +208,24 @@ def test_opposite_is_involutive_through_files(model_file, tmp_path, capsys):
     assert code == 0
     original = json.loads(model_file.read_text())["results"]["model"]
     assert report(out)["results"]["model"] == original
+
+
+@pytest.mark.parametrize("doc", [
+    [1, 2],
+    {"schema": "koszulmf-model/1", "generators": [1], "tables": {}},
+    {"schema": "koszulmf-model/1", "generators": 5, "tables": {}},
+    {"schema": "koszulmf-model/1", "generators": [], "tables": []},
+    {"schema": "koszulmf-model/1", "generators": [], "tables": {"2": [7]}},
+    {"schema": "koszulmf-model/1", "generators": [],
+     "tables": {"2": [[[], [[1], [2]], 1, 0]]}},
+])
+def test_model_commands_reject_malformed_file(doc, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["opposite"], ["smash", "--group", "3:1;1;1"]):
+        code, out, err = run_cli(argv + ["--model", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert "error" in err
 
 
 def test_smash_dimensions(model_file, capsys):

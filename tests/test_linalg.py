@@ -8,13 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from koszulmf.linalg import (
-    ChainComplexPiece,
     Contraction,
     LinSolver,
     NotAComplex,
-    SparseMatrix,
+    compose,
     homology_ranks,
-    reduce,
 )
 
 F = Fraction
@@ -25,8 +23,8 @@ ONE = F(1)
 def _rref_rows(row_dicts, ncols):
     """Reduced row echelon form of a list of sparse rows, in place.
 
-    An independent row elimination, the reference that `reduce` (column
-    elimination in `LinSolver`) is compared against.  Columns are
+    An independent row elimination, the reference that the column
+    elimination in `LinSolver` is compared against.  Columns are
     scanned in ascending order and the first remaining row with a
     nonzero entry becomes the pivot.  Returns the pivot columns; row i
     (i < rank) ends normalized to a leading 1 at pivots[i] and fully
@@ -69,65 +67,79 @@ def _rref_rows(row_dicts, ncols):
     return pivots
 
 
-def _rref_reduce(matrix):
-    """(rank, kernel, pivots) read off the RREF, in the format of reduce."""
-    rows = matrix.row_dicts()
-    pivots = _rref_rows(rows, matrix.cols)
-    kernel = []
-    for f in range(matrix.cols):
-        if f in pivots:
-            continue
-        vec = [ZERO] * matrix.cols
-        vec[f] = ONE
-        for i, p in enumerate(pivots):
-            coef = rows[i].get(f)
-            if coef:
-                vec[p] = -coef
-        kernel.append(vec)
-    return len(pivots), kernel, pivots
+def _transpose(columns, nrows):
+    """The rows of a column list, as a column list."""
+    rows = [{} for _ in range(nrows)]
+    for c, col in enumerate(columns):
+        for r, v in col.items():
+            rows[r][c] = v
+    return rows
+
+
+def _identity(n):
+    return [{j: 1} for j in range(n)]
+
+
+def _add(*maps):
+    """Sum of column lists with the same number of columns, zeros dropped."""
+    out = []
+    for cols in zip(*maps, strict=True):
+        acc = {}
+        for col in cols:
+            for r, v in col.items():
+                acc[r] = acc.get(r, 0) + v
+        out.append({r: v for r, v in acc.items() if v})
+    return out
+
+
+def _rref_reduce(columns, nrows):
+    """(pivots, kernel) read off the RREF, in the format of LinSolver."""
+    rows = _transpose(columns, nrows)
+    pivots = _rref_rows(rows, len(columns))
+    kernel = {}
+    for f in range(len(columns)):
+        if f not in pivots:
+            # 1 at the free column, -R[i, f] at the i-th pivot
+            kernel[f] = {f: ONE}
+            for i, p in enumerate(pivots):
+                if rows[i].get(f):
+                    kernel[f][p] = -rows[i][f]
+    return pivots, kernel
 
 
 def test_reduce_identity():
-    rank, kernel, pivots = reduce(SparseMatrix.identity(3))
-    assert rank == 3
-    assert kernel == []
-    assert pivots == [0, 1, 2]
+    solver = LinSolver(_identity(3))
+    assert solver.kernel == {}
+    assert solver.pivots == [0, 1, 2]
 
 
 def test_reduce_zero():
-    rank, kernel, pivots = reduce(SparseMatrix.zero(2, 3))
-    assert rank == 0
-    assert pivots == []
-    assert kernel == [
-        [F(1), F(0), F(0)],
-        [F(0), F(1), F(0)],
-        [F(0), F(0), F(1)],
-    ]
+    solver = LinSolver([{}, {}, {}])
+    assert solver.pivots == []
+    assert solver.kernel == {0: {0: F(1)}, 1: {1: F(1)}, 2: {2: F(1)}}
 
 
 def test_reduce_rank_one():
-    m = SparseMatrix.from_rows([[1, 1], [1, 1]])
-    rank, kernel, pivots = reduce(m)
-    assert rank == 1
-    assert pivots == [0]
+    solver = LinSolver([{0: 1, 1: 1}, {0: 1, 1: 1}])
+    assert solver.pivots == [0]
     # Canonical RREF kernel vector: 1 at the free column, -R[0,free] at the pivot.
-    assert kernel == [[F(-1), F(1)]]
+    assert solver.kernel == {1: {0: F(-1), 1: F(1)}}
 
 
 def test_reduce_is_deterministic():
-    m = SparseMatrix.from_rows([[0, 2, 4], [1, 1, 1], [1, 3, 5]])
-    first = reduce(m)
-    second = reduce(m)
-    assert first == second
+    m = _transpose([{1: 2, 2: 4}, {0: 1, 1: 1, 2: 1}, {0: 1, 1: 3, 2: 5}], 3)
+    first, second = LinSolver(m), LinSolver(m)
+    assert (first.pivots, first.kernel) == (second.pivots, second.kernel)
 
 
 def _random_matrix(rng, rows, cols, density=0.6):
-    entries = {}
+    """Columns of a random rows x cols matrix over -3..3, drawn row by row."""
+    columns = [{} for _ in range(cols)]
     for r in range(rows):
         for c in range(cols):
             if rng.random() < density:
-                entries[(r, c)] = F(rng.randint(-3, 3))
-    return SparseMatrix(rows, cols, entries)
+                columns[c][r] = F(rng.randint(-3, 3))
+    return columns
 
 
 @given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 10 ** 6))
@@ -135,19 +147,19 @@ def _random_matrix(rng, rows, cols, density=0.6):
 def test_reduce_properties(rows, cols, seed):
     rng = random.Random(seed)
     m = _random_matrix(rng, rows, cols)
-    rank, kernel, pivots = reduce(m)
-    assert rank == len(pivots) <= min(rows, cols)
-    assert rank + len(kernel) == cols
-    for vec in kernel:
-        image = m.apply({i: v for i, v in enumerate(vec) if v})
-        assert image == {}
-    assert (rank, kernel, pivots) == _rref_reduce(m)
+    solver = LinSolver(m)
+    assert len(solver.pivots) <= min(rows, cols)
+    assert len(solver.pivots) + len(solver.kernel) == cols
+    assert not any(compose(m, list(solver.kernel.values())))
+    assert (solver.pivots, solver.kernel) == _rref_reduce(m, rows)
 
 
 def test_reduce_matches_rref_on_all_small_sign_matrices():
     for values in product((-1, 0, 1), repeat=6):
-        m = SparseMatrix.from_rows([values[:3], values[3:]])
-        assert reduce(m) == _rref_reduce(m)
+        m = [{r: values[3 * r + c] for r in range(2) if values[3 * r + c]}
+             for c in range(3)]
+        solver = LinSolver(m)
+        assert (solver.pivots, solver.kernel) == _rref_reduce(m, 2)
 
 
 def _reference_axpy(target, source, factor):
@@ -300,55 +312,43 @@ def test_linsolver_records_dependent_columns():
 
 
 def test_homology_two_term_acyclic():
-    piece = ChainComplexPiece([1, 1], [SparseMatrix.identity(1)])
-    assert homology_ranks(piece) == [0, 0]
+    assert homology_ranks([1, 1], [_identity(1)]) == [0, 0]
 
 
 def test_homology_zero_differential():
-    piece = ChainComplexPiece([2, 3], [SparseMatrix.zero(3, 2)])
-    assert homology_ranks(piece) == [2, 3]
+    assert homology_ranks([2, 3], [[{}, {}]]) == [2, 3]
 
 
 def test_homology_rejects_non_complex():
-    d0 = SparseMatrix.identity(2)
-    d1 = SparseMatrix.identity(2)
-    piece = ChainComplexPiece([2, 2, 2], [d0, d1])
     with pytest.raises(NotAComplex):
-        homology_ranks(piece)
+        homology_ranks([2, 2, 2], [_identity(2), _identity(2)])
+    with pytest.raises(ValueError):
+        homology_ranks([2, 1], [_identity(2)])  # a row outside the target
 
 
 def _random_complex(seed):
-    """Three-term complex with d1 o d0 = 0 and rank(d0) = 2."""
+    """Three-term complex with d1 o d0 = 0 and rank(d0) = 2: (dims, maps)."""
     rng = random.Random(seed)
     while True:
         d0 = _random_matrix(rng, 4, 3, density=0.8)
-        if reduce(d0)[0] == 2:
+        if len(LinSolver(d0).pivots) == 2:
             break
     # Rows of d1 are combinations of the cokernel of d0.
-    rank, coker, _ = reduce(d0.transpose())
-    rows = []
-    for _ in range(2):
-        combo = [F(0)] * 4
-        for vec in coker:
-            c = F(rng.randint(-2, 2))
-            combo = [a + c * b for a, b in zip(combo, vec)]
-        rows.append(combo)
-    d1 = SparseMatrix.from_rows(rows)
-    return ChainComplexPiece([3, 4, 2], [d0, d1])
+    coker = list(LinSolver(_transpose(d0, 4)).kernel.values())
+    rows = compose(coker, [
+        {k: F(rng.randint(-2, 2)) for k in range(len(coker))} for _ in range(2)
+    ])
+    return [3, 4, 2], [d0, _transpose(rows, 4)]
 
 
-def contraction_parts(con, harmonic, dim, dim_below):
-    """(i, p, h) of one degree as matrices, p and h read off split on unit vectors."""
+def contraction_parts(con, harmonic, dim):
+    """(i, p, h) of one degree as column lists; p and h are read off split."""
     p_cols, h_cols = [], []
     for j in range(dim):
         alpha, pre = con.split({j: ONE})
         p_cols.append({a: c for a, c in enumerate(alpha) if c})
         h_cols.append(pre)
-    return (
-        SparseMatrix.from_columns(dim, harmonic),
-        SparseMatrix.from_columns(len(harmonic), p_cols),
-        SparseMatrix.from_columns(dim_below, h_cols),
-    )
+    return harmonic, p_cols, h_cols
 
 
 def assert_contraction_identities(d_in, d_out, below, mid, above):
@@ -359,13 +359,14 @@ def assert_contraction_identities(d_in, d_out, below, mid, above):
     Also checks that i and p are chain maps there.
     """
     i, p, h = mid
-    assert p * i == SparseMatrix.identity(i.cols)
-    assert d_in * h + above[2] * d_out == SparseMatrix.identity(i.rows) - i * p
-    assert (h * i).is_zero()
-    assert (below[1] * h).is_zero()
-    assert (below[2] * h).is_zero()
-    assert (d_out * i).is_zero()
-    assert (p * d_in).is_zero()
+    assert compose(p, i) == _identity(len(i))
+    dh_hd = _add(compose(d_in, h), compose(above[2], d_out))
+    assert _add(dh_hd, compose(i, p)) == _identity(len(p))  # d h + h d = 1 - i p
+    assert not any(compose(h, i))
+    assert not any(compose(below[1], h))
+    assert not any(compose(below[2], h))
+    assert not any(compose(d_out, i))
+    assert not any(compose(p, d_in))
 
 
 def _pick_harmonic(image, kernel):
@@ -374,26 +375,23 @@ def _pick_harmonic(image, kernel):
     return [kernel[j - len(image)] for j in solver.pivots if j >= len(image)]
 
 
-def _check_complex(piece):
-    """Contract every degree of piece and check the identities; returns the
-    (i, p, h) per degree, padded by a zero space at each end."""
-    dims = [0] + piece.dims + [0]
-    maps = (
-        [SparseMatrix.zero(dims[1], 0)]
-        + piece.maps
-        + [SparseMatrix.zero(0, dims[-2])]
-    )
+def _check_complex(dims, maps):
+    """Contract every degree of the complex and check the identities; returns
+    the (i, p, h) per degree, padded by a zero space at each end."""
+    dims = [0] + dims + [0]
+    maps = [[]] + maps + [[{}] * dims[-2]]
     parts = []
     for k, dim in enumerate(dims):
-        d_in = maps[k - 1] if k else SparseMatrix.zero(dim, 0)
-        d_out = maps[k] if k < len(maps) else SparseMatrix.zero(0, dim)
-        out = LinSolver(d_out.columns())
-        inc = LinSolver(d_in.columns())
-        image = [d_in.column(c) for c in inc.pivots]
+        d_in = maps[k - 1] if k else []
+        d_out = maps[k] if k < len(maps) else [{}] * dim
+        out = LinSolver(d_out)
+        inc = LinSolver(d_in)
+        image = [d_in[c] for c in inc.pivots]
         harmonic = _pick_harmonic(image, list(out.kernel.values()))
-        con = Contraction(out.kernel, harmonic, image, inc.pivots, 1)
-        parts.append(contraction_parts(con, harmonic, dim, d_in.cols))
-    assert [i.cols for i, _, _ in parts] == [0] + homology_ranks(piece) + [0]
+        con = Contraction(out.kernel_ints, harmonic, image, inc.pivots, 1)
+        parts.append(contraction_parts(con, harmonic, dim))
+    ranks = homology_ranks(dims[1:-1], maps[1:-1])
+    assert [len(i) for i, _, _ in parts] == [0] + ranks + [0]
     for k in range(1, len(dims) - 1):
         assert_contraction_identities(
             maps[k - 1], maps[k], parts[k - 1], parts[k], parts[k + 1]
@@ -403,21 +401,20 @@ def _check_complex(piece):
 
 @pytest.mark.parametrize("seed", [7, 19, 101])
 def test_contraction_five_identities(seed):
-    _check_complex(_random_complex(seed))
+    _check_complex(*_random_complex(seed))
 
 
 def test_contraction_respects_known_homology():
     # 0 -> Q^2 --0--> Q^2 -> 0 has full homology in both spots.
-    piece = ChainComplexPiece([2, 2], [SparseMatrix.zero(2, 2)])
-    parts = _check_complex(piece)
-    assert parts[0][0] == SparseMatrix.identity(2)
+    parts = _check_complex([2, 2], [[{}, {}]])
+    assert parts[0][0] == _identity(2)
 
 
 def test_contraction_rejects_dependent_columns():
     with pytest.raises(ValueError):
         Contraction({}, [{0: F(1)}], [{0: F(2)}], [0], 1)
     # a cycle e_1 outside the span of the image column e_0
-    con = Contraction({1: {1: F(1)}}, [], [{0: F(1)}], [0], 1)
+    con = Contraction({1: {1: 1}}, [], [{0: F(1)}], [0], 1)
     with pytest.raises(ValueError):
         con.split({1: F(1)})
 

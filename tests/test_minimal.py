@@ -5,9 +5,11 @@ from itertools import product as iproduct
 import pytest
 
 from koszulmf.lattice import LatticeClass, from_elements, size
-from koszulmf.linalg import ChainComplexPiece, SparseMatrix, homology_ranks
+from koszulmf.linalg import compose, homology_ranks
 from koszulmf.minimal import (
     _Engine,
+    _cached_engine,
+    _engine,
     ArityBound,
     BadChoice,
     CohomologyBasisChoice,
@@ -30,7 +32,9 @@ from koszulmf.weyl import (
     mono_qdeg_num,
     mono_weight,
 )
-from test_linalg import assert_contraction_identities, contraction_parts
+from test_linalg import (
+    _add, _identity, assert_contraction_identities, contraction_parts,
+)
 
 F = Fraction
 
@@ -47,6 +51,22 @@ def test_choice_validation():
     with pytest.raises(BadChoice):
         CohomologyBasisChoice((2, 1, 4))
     assert CohomologyBasisChoice.default(1).aux == (2, 1, 1)
+    # one partner index per variable, checked wherever an engine is made
+    for aux in ((2, 1), (2, 1, 1, 1)):
+        with pytest.raises(BadChoice):
+            minimal_mu(2, (0b100, 0b001), MFConfig(1), CohomologyBasisChoice(aux))
+        with pytest.raises(BadChoice):
+            build_minimal_model(MFConfig(1), CohomologyBasisChoice(aux))
+
+
+def test_engine_cache_is_shared_and_bounded():
+    default = _engine(MFConfig(1), CohomologyBasisChoice.default(1))
+    assert _engine(MFConfig(1), None) is default
+    for n in range(1, 21):
+        _engine(MFConfig(n), None)
+    assert _cached_engine.cache_info().currsize == 16
+    _cached_engine.cache_clear()
+    assert _cached_engine.cache_info().currsize == 0
 
 
 def test_dbar_explicit_two_term():
@@ -128,9 +148,9 @@ def test_cohomology_dim_against_homology_ranks():
             for mono in bases[src]:
                 img = differential(OperatorElement(cfg, {mono: F(1)}), cfg)
                 cols.append({index[m]: c for m, c in img.terms.items()})
-            maps.append(SparseMatrix.from_columns(len(bases[dst]), cols))
-        piece = ChainComplexPiece([len(b) for b in bases], maps)
-        assert homology_ranks(piece)[1] == cohomology_dim(w, q, cfg)
+            maps.append(cols)
+        dims = [len(b) for b in bases]
+        assert homology_ranks(dims, maps)[1] == cohomology_dim(w, q, cfg)
 
 
 def _engine_at(kmask, n=1):
@@ -142,9 +162,8 @@ def _engine_at(kmask, n=1):
 
 
 def _engine_d_out(eng, key):
-    dim_above = len(eng.basis((key[0], key[1] + eng.step))[0])
-    scaled = SparseMatrix.from_columns(dim_above, eng.outgoing(key)[2])
-    return scaled.scale(F(1, eng.scale))
+    return [{r: F(v, eng.scale) for r, v in col.items()}
+            for col in eng.outgoing(key)[2]]
 
 
 def test_contraction_for_piece_identities():
@@ -158,19 +177,19 @@ def test_contraction_for_piece_identities():
     rep_col = {index[m]: v for m, v in rep.terms.items()}
     below = (key[0], key[1] - eng.step)
     above = (key[0], key[1] + eng.step)
-    dim_below = len(eng.basis(below)[0])
-    i, p, h = contraction_parts(con, [rep_col], len(basis), dim_below)
-    assert i == SparseMatrix.from_columns(len(basis), [rep_col])
+    i, p, h = contraction_parts(con, [rep_col], len(basis))
+    assert i == [rep_col]
     # p i = 1, p d = 0, and the homotopy identity at the middle degree
     d_in = _engine_d_out(eng, below)
     d_out = _engine_d_out(eng, key)
     con_above, harm_above = eng.piece(above)
     assert harm_above is None
     dim_above = len(eng.basis(above)[0])
-    h_above = contraction_parts(con_above, [], dim_above, len(basis))[2]
-    assert p * i == SparseMatrix.identity(1)
-    assert (p * d_in).is_zero()
-    assert d_in * h + h_above * d_out == SparseMatrix.identity(len(basis)) - i * p
+    h_above = contraction_parts(con_above, [], dim_above)[2]
+    assert compose(p, i) == _identity(1)
+    assert not any(compose(p, d_in))
+    dh_hd = _add(compose(d_in, h), compose(h_above, d_out))
+    assert _add(dh_hd, compose(i, p)) == _identity(len(basis))  # d h + h d = 1 - i p
 
 
 def test_contraction_projects_exact_to_zero():
@@ -179,9 +198,9 @@ def test_contraction_projects_exact_to_zero():
     assert harm_mask == 0b011
     below = (key[0], key[1] - eng.step)
     d_in = _engine_d_out(eng, below)
-    assert d_in.cols == len(eng.basis(below)[0]) > 0
-    for j in range(d_in.cols):
-        alpha, _ = con.split(d_in.column(j))
+    assert len(d_in) == len(eng.basis(below)[0]) > 0
+    for col in d_in:
+        alpha, _ = con.split(col)
         assert not any(alpha)
 
 
@@ -202,14 +221,6 @@ def test_engine_contraction_identities():
     keys = set(eng._pieces) | set(exterior)
     assert len(keys) > len(exterior)
 
-    def dim(key):
-        return len(eng.basis(key)[0])
-
-    def d_out(key):
-        return SparseMatrix.from_columns(
-            dim((key[0], key[1] + eng.step)), eng.outgoing(key)[2]
-        ).scale(F(1, eng.scale))
-
     def parts(key):
         con, harm_mask = eng.piece(key)
         harmonic = []
@@ -217,15 +228,14 @@ def test_engine_contraction_identities():
             _, index = eng.basis(key)
             rep = dbar_product(harm_mask, choice, cfg)
             harmonic.append({index[m]: c for m, c in rep.terms.items()})
-        below = (key[0], key[1] - eng.step)
-        return contraction_parts(con, harmonic, dim(key), dim(below))
+        return contraction_parts(con, harmonic, len(eng.basis(key)[0]))
 
     for key in sorted(keys):
         below = (key[0], key[1] - eng.step)
         above = (key[0], key[1] + eng.step)
-        mid = parts(key)
         assert_contraction_identities(
-            d_out(below), d_out(key), parts(below), mid, parts(above)
+            _engine_d_out(eng, below), _engine_d_out(eng, key),
+            parts(below), parts(key), parts(above),
         )
         if key in exterior:
             kmask = exterior[key]
@@ -343,9 +353,12 @@ def test_model_tables_satisfy_grading(model_n1):
 
 
 def test_model_lookup(model_n1):
-    out = model_n1.mu(2, (0b001, 0b010))
-    assert out == {0b011: F(-1)}
-    assert model_n1.mu(5, (0,) * 5) == {}
+    def lookup(k, inputs):
+        table = model_n1.tables.get(k, {})
+        return {k0: table[k0, inputs] for k0 in range(8) if (k0, inputs) in table}
+
+    assert lookup(2, (0b001, 0b010)) == {0b011: F(-1)}
+    assert lookup(5, (0,) * 5) == {}
 
 
 def test_obstruction_class_n1(model_n1):
