@@ -178,36 +178,10 @@ def _splitter(alg):
     return split, scale
 
 
-def _exhaustive_terms(alg, max_arity, split, modulus):
-    """((arity, tuple, output, exponent), scaled magnitude) for every
-    nonzero term of every identity on every basis tuple."""
-    for m in range(1, max_arity + 1):
-        for tup in product(alg.basis, repeat=m):
-            for a in range(1, m + 1):
-                tin = alg.ops.get(a)
-                tout = alg.ops.get(m - a + 1)
-                if not tin or not tout:
-                    continue
-                for p in range(0, m - a + 1):
-                    inner = tup[p:p + a]
-                    sign = _tail_sign(alg.zdeg, tup[p + a:])
-                    for mid in alg.basis:
-                        c_in = tin.get((mid, inner))
-                        if not c_in:
-                            continue
-                        mag_in, exp_in = split(c_in)
-                        outer = tup[:p] + (mid,) + tup[p + a:]
-                        for out in alg.basis:
-                            c_out = tout.get((out, outer))
-                            if not c_out:
-                                continue
-                            mag_out, exp_out = split(c_out)
-                            yield ((m, tup, out, (exp_out + exp_in) % modulus),
-                                   sign * mag_out * mag_in)
-
-
 def _joined_terms(alg, max_arity, split, modulus):
-    """The same terms as `_exhaustive_terms`, from joining stored entries.
+    """((arity, tuple, output, exponent), scaled magnitude) for every
+    nonzero term of every identity up to max_arity, from joining stored
+    entries.
 
     Outer entries are indexed by (slot label, outer arity).  An inner
     entry of arity k_in visits only the outer arities k_out with
@@ -264,7 +238,7 @@ def _total(by_exp, order, phi):
     return terms if any(rem) else ()
 
 
-def check_stasheff(alg, max_arity, exhaustive=False):
+def check_stasheff(alg, max_arity):
     """Violated Stasheff identities up to the given composed arity.
 
     Returns a sorted list of (arity, input tuple, output label, total);
@@ -273,11 +247,9 @@ def check_stasheff(alg, max_arity, exhaustive=False):
     distinct exponents, and an identity counts as violated only when that
     sum is nonzero in the cyclotomic field.  Terms are summed as integer
     magnitudes per root-of-unity exponent (see `_splitter`), never as
-    Fraction or Cyc values.  The default mode joins stored entries
-    pairwise, which reaches every instance with at least one nonzero
-    term, and visits only pairs whose composed arity is at most
-    max_arity; exhaustive=True scans all basis tuples instead (only
-    sensible for small algebras, used as an oracle for the join).
+    Fraction or Cyc values.  Stored entries are joined pairwise, which
+    reaches every instance with at least one nonzero term, and only
+    pairs whose composed arity is at most max_arity are visited.
     """
     orders = {
         c.order for table in alg.ops.values() for c in table.values()
@@ -288,11 +260,8 @@ def check_stasheff(alg, max_arity, exhaustive=False):
     order = orders.pop() if orders else None
     phi = _cyclotomic(order) if order else None
     split, scale = _splitter(alg)
-    terms = (_exhaustive_terms if exhaustive else _joined_terms)(
-        alg, max_arity, split, order or 1
-    )
     totals = defaultdict(int)
-    for key, mag in terms:
+    for key, mag in _joined_terms(alg, max_arity, split, order or 1):
         totals[key] += mag
     by_identity = {}
     unit = scale * scale
@@ -359,9 +328,11 @@ def supercommutativity_check(alg):
     return True
 
 
-def _merge_sign(x, y):
-    """Sign sorting the concatenation (x ascending, y ascending)."""
-    inv = 0
+def _wedge_sign(x, y):
+    """Sign of mu^2(x, y) = +-(x | y) in the graded wedge, x and y disjoint:
+    the sign sorting the concatenation (x ascending, y ascending), times
+    (-1)^{|y|} for the textual order."""
+    inv = size(y)
     for i in range(x.bit_length()):
         if x >> i & 1:
             inv += size(y & ((1 << i) - 1))
@@ -381,10 +352,7 @@ def wedge_algebra(n):
         for y in basis:
             if x & y:
                 continue
-            coef = Fraction(_merge_sign(x, y))
-            if size(y) % 2:
-                coef = -coef
-            table[(x | y, (x, y))] = coef
+            table[(x | y, (x, y))] = Fraction(_wedge_sign(x, y))
     return FiniteAInftyAlgebra(basis, zdeg, {2: table}, weight, qdeg)
 
 
@@ -409,10 +377,6 @@ def exterior_normalize(alg, n):
             raise ValueError(f"mu^2 coefficient {coef} is not a sign")
         a[(x, y)] = int(coef)
 
-    def wedge(x, y):
-        s = _merge_sign(x, y)
-        return -s if size(y) % 2 else s
-
     sigma = {}
     if (0, 0) not in a:
         raise Inconsistent("no unit square entry to anchor sigma")
@@ -426,7 +390,7 @@ def exterior_normalize(alg, n):
         rest = mask ^ low
         if (rest, low) not in a:
             raise Inconsistent(f"missing product for split {rest}|{low}")
-        sigma[mask] = a[(rest, low)] * sigma[rest] * sigma[low] * wedge(rest, low)
+        sigma[mask] = a[(rest, low)] * sigma[rest] * sigma[low] * _wedge_sign(rest, low)
     for x in range(1 << n2):
         for y in range(1 << n2):
             if x & y:
@@ -434,7 +398,7 @@ def exterior_normalize(alg, n):
             lhs = a.get((x, y))
             if lhs is None:
                 raise Inconsistent(f"missing product entry for {x}, {y}")
-            if lhs * sigma[x | y] != sigma[x] * sigma[y] * wedge(x, y):
+            if lhs * sigma[x | y] != sigma[x] * sigma[y] * _wedge_sign(x, y):
                 raise Inconsistent(f"sign clash on the pair {x}, {y}")
     return sigma
 

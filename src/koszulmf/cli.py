@@ -4,7 +4,8 @@ Each subcommand prints one JSON report on stdout (sorted keys, so
 output is byte-identical between runs except for the wall-time field)
 and a one-line summary on stderr.  Exit status: 0 when every requested
 check passes, 1 when a check fails, 2 on usage or precondition errors,
-3 on an internal error (an invariant of the computation failed).
+3 on an internal error (an invariant of the computation failed, or any
+other unexpected exception).
 Exact rationals are rendered "num/den"; the float-based geometric
 checks (coamoeba, morse, rnc) take --tolerance and report it.  Checks
 run sequentially in a fixed order.
@@ -13,6 +14,7 @@ run sequentially in a fixed order.
 import argparse
 import hashlib
 import json
+import math
 import random
 import sys
 import time
@@ -79,6 +81,8 @@ def _parse_subset(token, n):
     elems = [int(p) for p in token.split(",")]
     if not all(1 <= e <= n + 2 for e in elems):
         raise ValueError(f"subset indices must lie in 1..{n + 2}")
+    if len(set(elems)) != len(elems):
+        raise ValueError(f"subset {token!r} repeats an index")
     return from_elements(elems)
 
 
@@ -87,20 +91,29 @@ def _is_int(x):
 
 
 def _parse_rationals(text):
-    return tuple(Fraction(tok) for tok in text.split(","))
+    try:
+        return tuple(Fraction(tok) for tok in text.split(","))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
-def _tables_payload(ops):
-    tables = {}
-    for k in sorted(ops):
-        rows = [
-            [_subset(out), [_subset(i) for i in ins], c.numerator, c.denominator]
-            for (out, ins), c in ops[k].items()
-            if c
-        ]
-        rows.sort()
-        tables[str(k)] = rows
-    return tables
+def _require_keys(obj, keys, what):
+    """Raise ValueError naming the first of keys that the dict obj lacks."""
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{what} lacks the key {key!r}")
+
+
+def _model_row(out, ins, c):
+    return [_subset(out), [_subset(i) for i in ins], c.numerator, c.denominator]
+
+
+def _tables_payload(ops, row=_model_row):
+    """Each arity's nonzero entries as sorted rows row(out, ins, coef)."""
+    return {
+        str(k): sorted(row(out, ins, c) for (out, ins), c in ops[k].items() if c)
+        for k in sorted(ops)
+    }
 
 
 def _model_payload(n, weights, aux, alg):
@@ -130,9 +143,11 @@ def _load_model_file(path):
         doc = doc["results"].get("model", doc)
     if not isinstance(doc, dict) or doc.get("schema") != MODEL_SCHEMA:
         raise ValueError(f"{path}: not a {MODEL_SCHEMA} document")
+    _require_keys(doc, ("generators", "tables"), path)
     basis, zdeg, qdeg, wt, ops = [], {}, {}, {}, {}
     try:
         for g in doc["generators"]:
+            _require_keys(g, ("subset", "zdeg", "qdeg", "weight"), f"{path}: generator")
             m = from_elements(g["subset"])
             basis.append(m)
             zdeg[m] = int(g["zdeg"])
@@ -141,12 +156,15 @@ def _load_model_file(path):
         for key, rows in doc["tables"].items():
             table = {}
             for out, ins, num, den in rows:
-                masks = tuple(from_elements(i) for i in ins)
-                table[(from_elements(out), masks)] = Fraction(num, den)
+                out, ins = from_elements(out), tuple(map(from_elements, ins))
+                if not zdeg.keys() >= {out, *ins}:
+                    raise ValueError(f"{path}: unknown subset in a mu^{key} row")
+                table[(out, ins)] = Fraction(num, den)
             ops[int(key)] = table
     except (AttributeError, TypeError, ZeroDivisionError) as exc:
         # a generator, table or row of the wrong shape, or a zero denominator
         raise ValueError(f"{path}: malformed {MODEL_SCHEMA} document: {exc}") from exc
+    _require_keys(doc, ("n", "weights", "aux"), path)  # echoed into reports
     return doc, FiniteAInftyAlgebra(basis, zdeg, ops, wt, qdeg)
 
 
@@ -306,8 +324,8 @@ def _cmd_zonotope(args):
 
 def _cmd_coamoeba(args):
     theta = [float(tok) for tok in args.theta.split(",")]
-    if not theta:
-        raise ValueError("need at least one angle")
+    if not all(map(math.isfinite, theta)):
+        raise ValueError("angles must be finite")
     label = coamoeba_classify(theta, tol=args.tolerance)
     return {
         "theta": theta,
@@ -367,12 +385,13 @@ def _cmd_validate_labels(args):
         doc = json.load(fh)
     if not isinstance(doc, dict) or not isinstance(doc.get("pearls"), list):
         raise ValueError("expected an object with a list of pearls")
+    _require_keys(doc, ("n",), "the document")
     n = doc["n"]
     if not _is_int(n) or n < 1:
         raise ValueError("n must be a positive integer")
 
     def is_label(s):
-        return isinstance(s, list) and all(
+        return isinstance(s, list) and len(set(s)) == len(s) and all(
             _is_int(e) and 1 <= e <= n + 2 for e in s
         )
 
@@ -380,9 +399,10 @@ def _cmd_validate_labels(args):
     for entry in doc["pearls"]:
         if not isinstance(entry, dict):
             raise ValueError("each pearl must be an object")
+        _require_keys(entry, ("flips", "degree"), "a pearl")
         flips, degree = entry["flips"], entry["degree"]
         if not isinstance(flips, list) or not all(map(is_label, flips)):
-            raise ValueError(f"flip labels must be lists of indices 1..{n + 2}")
+            raise ValueError(f"flip labels must list distinct indices in 1..{n + 2}")
         if not _is_int(degree):
             raise ValueError("degree must be an integer")
         pearls.append(
@@ -491,16 +511,11 @@ def _cmd_smash(args):
         ),
         key=lambda g: (g["subset"], g["char"]),
     )
-    tables = {}
-    for k in sorted(sm.ops):
-        rows = [
-            [label(out), [label(i) for i in ins], c.mag.numerator,
-             c.mag.denominator, c.exp, c.order]
-            for (out, ins), c in sm.ops[k].items()
-            if c
-        ]
-        rows.sort()
-        tables[str(k)] = rows
+
+    def row(out, ins, c):
+        return [label(out), [label(i) for i in ins], c.mag.numerator,
+                c.mag.denominator, c.exp, c.order]
+
     return {
         "schema": "koszulmf-smash/1",
         "n": doc["n"],
@@ -510,7 +525,7 @@ def _cmd_smash(args):
         },
         "dimension": len(sm.basis),
         "generators": gens,
-        "tables": tables,
+        "tables": _tables_payload(sm.ops, row),
     }, True
 
 
@@ -623,11 +638,12 @@ def main(argv=None):
     params = _echo_parameters(args)
     try:
         results, ok = _HANDLERS[args.command](args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"{args.command}: error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
-        print(f"{args.command}: internal error: {exc}", file=sys.stderr)
+    except Exception as exc:  # a failed invariant (RuntimeError) or a bug
+        print(f"{args.command}: internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return 3
     digest = hashlib.sha256(
         json.dumps(

@@ -6,13 +6,12 @@ columns, one dict {row: value} per column, with `int` or
 
 There is one elimination kernel, `LinSolver`: incremental elimination
 over columns in their given order.  One pass gives the independent
-columns, the canonical kernel and a solver for many right-hand sides;
-`homology_ranks` is built on it.  It accepts `int` or `Fraction`
-columns and eliminates on integers (fraction-free), so `Fraction`s are
-made only where a result is handed out.  There is one contraction,
-`Contraction`, the per-degree splitting the transfer in `minimal` uses;
-its `split` is where the transfer's integer arithmetic turns back into
-`Fraction`s.
+columns and the canonical kernel; `homology_ranks` is built on it.  It
+accepts `int` or `Fraction` columns and eliminates on integers
+(fraction-free).  There is one contraction, `Contraction`, the
+per-degree splitting the transfer in `minimal` uses; its `split`
+reduces right-hand sides through the same elimination and is where the
+integer arithmetic turns back into `Fraction`s.
 """
 
 from __future__ import annotations
@@ -78,13 +77,11 @@ class LinSolver:
     them is kept as a kernel vector: 1 at its own index, support
     otherwise on earlier independent columns.
 
-    pivots lists the independent columns and kernel maps each dependent
-    column to its kernel vector ({index: Fraction}), both in ascending
-    order; kernel_ints holds the same vectors as primitive integer
-    vectors, positive at their own column.  solve(rhs) walks the stored
-    columns in the same order and returns (coefficients, ok):
-    coefficients over the original columns, zero at the dependent ones,
-    and ok False when rhs lies outside their span.
+    pivots lists the independent columns and kernel_ints maps each
+    dependent column to its kernel vector, both in ascending order; a
+    kernel vector is a primitive integer vector, positive at its own
+    column.  Right-hand sides are reduced by `Contraction.split`, which
+    runs the same elimination (`_eliminate`) on them.
 
     The elimination is fraction-free.  The columns are scaled once by the
     lcm of their denominators.  A column u with entry x at the
@@ -93,15 +90,14 @@ class LinSolver:
     scaled columns follows along.  A column is stored with its expression
     divided by their common content and signed so that its pivot entry,
     at its smallest row, is positive.  Every vector is then a nonzero
-    multiple of the one elimination over Q would store, so pivots, kernel
-    and solve are exactly those of it; `Fraction`s are made only when
-    `kernel` or `solve` hands a result out (and in `Contraction.split`).
+    multiple of the one elimination over Q would store, so the pivots and
+    the kernel's lines are exactly those of it; `Fraction`s are made only
+    in `Contraction.split`.
     """
 
-    __slots__ = ("ncols", "pivots", "kernel_ints", "_scale", "_steps", "_where")
+    __slots__ = ("pivots", "kernel_ints", "_scale", "_steps", "_where")
 
     def __init__(self, columns):
-        self.ncols = len(columns)
         self.pivots = []
         self._scale = scale = lcm(
             *(v.denominator for col in columns for v in col.values())
@@ -111,7 +107,8 @@ class LinSolver:
         self._where = {}  # pivot row -> its step's position in _steps
         self.kernel_ints = {}
         for idx, col in enumerate(columns):
-            vec = _scaled(col, scale)
+            vec = {r: v.numerator * (scale // v.denominator)
+                   for r, v in col.items() if v}
             expr = {idx: 1}
             self._eliminate(vec, expr)
             if vec:
@@ -122,13 +119,6 @@ class LinSolver:
                 self.pivots.append(idx)
             else:
                 self.kernel_ints[idx] = _primitive(vec, expr, expr[idx])[1]
-
-    @property
-    def kernel(self):
-        return {
-            j: {i: Fraction(v, f[j]) for i, v in f.items()}
-            for j, f in self.kernel_ints.items()
-        }
 
     def _eliminate(self, vec, expr):
         """Reduce the integer vector vec against the stored columns, in place.
@@ -174,17 +164,6 @@ class LinSolver:
                     if j is not None and j > k:
                         heappush(todo, j)
         return m
-
-    def solve(self, rhs):
-        den = lcm(*(v.denominator for v in rhs.values()))
-        vec = _scaled(rhs, den)
-        # m den rhs = (vec on return) - sum_i combo[i] * _scale * column_i
-        combo = {}
-        m = self._eliminate(vec, combo) * den
-        coefs = [ZERO] * self.ncols
-        for i, v in combo.items():
-            coefs[i] = Fraction(-v * self._scale, m)
-        return coefs, not vec
 
 
 class Contraction:
@@ -261,11 +240,6 @@ def _primitive(vec, expr, lead):
     if g == 1:
         return vec, expr
     return {r: v // g for r, v in vec.items()}, {i: v // g for i, v in expr.items()}
-
-
-def _scaled(vec, den):
-    """den times a sparse vector of rationals, as ints; den clears every denominator."""
-    return {r: v.numerator * (den // v.denominator) for r, v in vec.items() if v}
 
 
 def _axpy(target, source, factor):

@@ -39,13 +39,12 @@ from .lattice import (
     size,
     weight,
 )
-from .linalg import Contraction, LinSolver
+from .linalg import Contraction, LinSolver, compose
 from .weyl import (
     MFConfig,
     OperatorElement,
     bigraded_basis,
     delta_terms,
-    differential,
     differential_columns,
 )
 
@@ -178,7 +177,7 @@ class _Engine:
         if hit is None:
             wrep, qnum = key
             basis, index = self.basis(key)
-            pivots, kernel, _ = self.outgoing(key)
+            pivots, kernel, cols = self.outgoing(key)
             prev_pivots, _, prev_cols = self.outgoing((wrep, qnum - self.step))
             harm_mask = self.exterior_label(key)
             hdim = len(basis) - len(pivots) - len(prev_pivots)
@@ -190,9 +189,10 @@ class _Engine:
             harmonic = []
             if harm_mask is not None:
                 r = self.rep(harm_mask)
-                if not differential(r, self.cfg).is_zero():
+                vec = {index[m]: c for m, c in r.terms.items()}
+                if any(compose(cols, [vec])):
                     raise RuntimeError("representative is not a cocycle")
-                harmonic.append({index[m]: c for m, c in r.terms.items()})
+                harmonic.append(vec)
             image = [prev_cols[c] for c in prev_pivots]
             try:
                 con = Contraction(kernel, harmonic, image, prev_pivots, self.scale)
@@ -417,13 +417,9 @@ def obstruction_class(model):
             raise PrematureProduct(
                 f"model has a nonzero mu^{k} below the versal arity"
             )
-    table = model.tables.get(n + 2)
-    if table is None:
+    if n + 2 not in model.tables:
         raise ArityBound(f"model does not tabulate arity {n + 2}")
-    total = ZERO
-    for perm in permutations(1 << i for i in range(n + 2)):
-        total += table.get((0, perm), ZERO)
-    return total
+    return sum(permutation_table(model).values(), ZERO)
 
 
 def permutation_table(model):

@@ -154,22 +154,6 @@ def clifford_product(s1, t1, s2, t2):
     return tuple((s, t, c) for (s, t), c in terms.items())
 
 
-def multiply_monomials(m1, c1, m2, c2):
-    """Product of two normal ordered monomials as a term dict.
-
-    The z_j are central, so the product is the Clifford product of the
-    masks with the exponents added.
-    """
-    a1, s1, t1 = m1
-    a2, s2, t2 = m2
-    a = tuple(x + y for x, y in zip(a1, a2))
-    c = c1 * c2
-    return {
-        (a, s, t): c if sign > 0 else -c
-        for s, t, sign in clifford_product(s1, t1, s2, t2)
-    }
-
-
 class OperatorElement:
     """A finite Q-linear combination of normal ordered monomials."""
 
@@ -217,10 +201,12 @@ class OperatorElement:
         if not isinstance(other, OperatorElement):
             return NotImplemented
         out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                for mono, coef in multiply_monomials(m1, c1, m2, c2).items():
-                    _accumulate(out, mono, coef)
+        for (a1, s1, t1), c1 in self.terms.items():
+            for (a2, s2, t2), c2 in other.terms.items():
+                a = tuple(map(add, a1, a2))
+                c = c1 * c2
+                for s, t, sign in clifford_product(s1, t1, s2, t2):
+                    _accumulate(out, (a, s, t), c if sign > 0 else -c)
         return OperatorElement(self.cfg, out)
 
     def is_zero(self):

@@ -1,4 +1,5 @@
-"""Acceptance sweep: fourteen go/no-go checks, one test per criterion.
+"""Acceptance sweep: fourteen go/no-go checks, one test per criterion,
+and the digest of the n=2 tables they share.
 
 Every test funnels through a single pass/fail line carrying the checked
 quantities and the measured runtime where a budget applies.  Criterion
@@ -66,6 +67,7 @@ from koszulmf.rnc import (
     solve_nodes,
 )
 from koszulmf.weyl import MFConfig, OperatorElement, delta, differential, w_element
+from test_minimal import table_digest
 
 
 def _line(num, label, ok, detail=""):
@@ -275,6 +277,12 @@ def test_criterion_05_versality_class(model_n1, model_n2):
         and dt < 1800,
         f"n=1: {obs1}, n=2: {obs2}, n=3: {versal[3]}, n=4: {versal[4]}, "
         f"{dt:.1f}s < 1800s incl. n=2 build",
+    )
+
+
+def test_table_digest_n2(model_n2):
+    assert table_digest(model_n2[0]) == (
+        "dac992342ee79b4d7026a48212f05886368cd503943056e28a27eefcb939ed25"
     )
 
 

@@ -66,7 +66,7 @@ def test_wedge_is_consistent():
     assert len(alg.ops[2]) == 3 ** 3
     alg.validate_graded()
     assert check_stasheff(alg, 4) == []
-    assert check_stasheff(alg, 3, exhaustive=True) == []
+    assert _exhaustive_stasheff(alg, 3) == []
 
 
 def test_checker_flags_a_flipped_sign():
@@ -75,7 +75,7 @@ def test_checker_flags_a_flipped_sign():
     alg.ops[2][key] = -alg.ops[2][key]
     joined = check_stasheff(alg, 3)
     assert joined
-    assert joined == check_stasheff(alg, 3, exhaustive=True)
+    assert joined == _exhaustive_stasheff(alg, 3)
     for arity, tup, out, total in joined:
         assert arity == 3 and total != 0
 
@@ -98,10 +98,10 @@ def _cancelling_cyc_algebra(last):
 def test_checker_cancels_through_cyclotomic_relation():
     alg = _cancelling_cyc_algebra(1)
     assert check_stasheff(alg, 3) == []
-    assert check_stasheff(alg, 3, exhaustive=True) == []
+    assert _exhaustive_stasheff(alg, 3) == []
     broken = _cancelling_cyc_algebra(2)
     joined = check_stasheff(broken, 3)
-    assert joined == check_stasheff(broken, 3, exhaustive=True)
+    assert joined == _exhaustive_stasheff(broken, 3)
     assert joined == [(3, ("x", "y", "z"), "o", (
         Cyc(F(1), 0, 3), Cyc(F(1), 1, 3), Cyc(F(2), 2, 3),
     ))]
@@ -116,16 +116,40 @@ def test_model_passes_stasheff(alg_n1):
 # ------------------------------------------------- join oracles and pruning
 
 
-def _reference_join(alg, max_arity):
-    """The replaced default join of `check_stasheff`: every stored entry
-    against every outer slot with its label, arity filtered afterwards,
-    terms formed as Fraction or Cyc products."""
+def _order(alg):
     orders = {
         c.order for table in alg.ops.values() for c in table.values()
         if isinstance(c, Cyc)
     }
-    order = orders.pop() if orders else None
+    return orders.pop() if orders else None
+
+
+def _add_term(totals, key, term):
+    """Add a Fraction or Cyc term to totals[key + (its exponent,)]."""
+    exp, mag = (term.exp, term.mag) if isinstance(term, Cyc) else (0, term)
+    totals[key + (exp,)] = totals.get(key + (exp,), 0) + mag
+
+
+def _violations(totals, order):
+    """Sorted violated identities from per-(identity, exponent) totals."""
     phi = _cyclotomic(order) if order else None
+    by_identity = {}
+    for (m, tup, out, exp), mag in totals.items():
+        if mag:
+            by_identity.setdefault((m, tup, out), {})[exp] = mag
+    violations = []
+    for (m, tup, out), by_exp in by_identity.items():
+        total = _total(by_exp, order, phi)
+        if total:
+            violations.append((m, tup, out, total))
+    violations.sort(key=lambda rec: (rec[0], rec[1], rec[2]))
+    return violations
+
+
+def _reference_join(alg, max_arity):
+    """The replaced default join of `check_stasheff`: every stored entry
+    against every outer slot with its label, arity filtered afterwards,
+    terms formed as Fraction or Cyc products."""
     totals = {}
     by_label = {}
     for k_out, tout in alg.ops.items():
@@ -144,20 +168,36 @@ def _reference_join(alg, max_arity):
                     continue
                 tup = ins[:p] + inner + ins[p + 1:]
                 term = _tail_sign(alg.zdeg, ins[p + 1:]) * (c_out * c_in)
-                exp, mag = (term.exp, term.mag) if isinstance(term, Cyc) else (0, term)
-                key = (m, tup, out, exp)
-                totals[key] = totals.get(key, 0) + mag
-    by_identity = {}
-    for (m, tup, out, exp), mag in totals.items():
-        if mag:
-            by_identity.setdefault((m, tup, out), {})[exp] = mag
-    violations = []
-    for (m, tup, out), by_exp in by_identity.items():
-        total = _total(by_exp, order, phi)
-        if total:
-            violations.append((m, tup, out, total))
-    violations.sort(key=lambda rec: (rec[0], rec[1], rec[2]))
-    return violations
+                _add_term(totals, (m, tup, out), term)
+    return _violations(totals, _order(alg))
+
+
+def _exhaustive_stasheff(alg, max_arity):
+    """The replaced exhaustive mode of `check_stasheff`: every identity on
+    every basis tuple up to max_arity, each term a Fraction or Cyc
+    product (only sensible for small algebras)."""
+    totals = {}
+    for m in range(1, max_arity + 1):
+        for tup in iproduct(alg.basis, repeat=m):
+            for a in range(1, m + 1):
+                tin = alg.ops.get(a)
+                tout = alg.ops.get(m - a + 1)
+                if not tin or not tout:
+                    continue
+                for p in range(0, m - a + 1):
+                    inner = tup[p:p + a]
+                    sign = _tail_sign(alg.zdeg, tup[p + a:])
+                    for mid in alg.basis:
+                        c_in = tin.get((mid, inner))
+                        if not c_in:
+                            continue
+                        outer = tup[:p] + (mid,) + tup[p + a:]
+                        for out in alg.basis:
+                            c_out = tout.get((out, outer))
+                            if c_out:
+                                _add_term(totals, (m, tup, out),
+                                          sign * (c_out * c_in))
+    return _violations(totals, _order(alg))
 
 
 def _typed(violations):
@@ -248,7 +288,7 @@ def test_join_matches_exhaustive_on_random_algebras(cyc_order):
             del alg.ops[1]  # k_min = 2: mu^3 is then no outer factor at arity 3
         for max_arity in range(1, 6):
             joined = check_stasheff(alg, max_arity)
-            exhaustive = check_stasheff(alg, max_arity, exhaustive=True)
+            exhaustive = _exhaustive_stasheff(alg, max_arity)
             assert _typed(joined) == _typed(exhaustive)
             assert _typed(joined) == _typed(_reference_join(alg, max_arity))
             if max_arity >= 3:

@@ -55,20 +55,34 @@ def test_usage_and_precondition_errors(capsys):
         ["morse", "--n", "1", "--tolerance", "-5"],
         ["minimal-model", "--n", "1", "--dbar-aux", "2,1"],
         ["minimal-model", "--n", "1", "--dbar-aux", "2,1,1,1"],
+        # a zero denominator is a usage error, not a failed check
+        ["minimal-model", "--n", "1", "--a-weights", "1/0,1,0"],
+        ["rnc", "--n", "1", "--pphi", "1/0,1,1"],
+        ["coamoeba", "--theta", "nan,0,0"],
+        ["coamoeba", "--theta", "inf,0"],
+        ["pearl-degree", "--n", "1", "--k0", "-", "--inputs", "1,1", "2", "3"],
     ):
         assert run_cli(argv, capsys)[0] == 2, argv
     assert run_cli(["coamoeba", "--theta", "0", "--tolerance", "0"], capsys)[0] == 0
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):
-    def broken(args):
-        raise RuntimeError("piece has cohomology dimension 2, expected 1")
+    # only ValueError and OSError are usage errors; anything else is a bug
+    for exc in (
+        RuntimeError("piece has cohomology dimension 2, expected 1"),
+        KeyError("zdeg"),
+        IndexError("list index out of range"),
+    ):
+        def broken(args):
+            raise exc
 
-    monkeypatch.setitem(cli._HANDLERS, "hkr", broken)
-    code, out, err = run_cli(["hkr", "--n", "2", "--r", "2", "--t", "-2"], capsys)
-    assert code == 3
-    assert out == ""
-    assert "internal error" in err
+        monkeypatch.setitem(cli._HANDLERS, "hkr", broken)
+        code, out, err = run_cli(
+            ["hkr", "--n", "2", "--r", "2", "--t", "-2"], capsys
+        )
+        assert code == 3, exc
+        assert out == ""
+        assert "internal error" in err
 
 
 def test_report_determinism(capsys):
@@ -139,6 +153,34 @@ def test_validate_labels_exit_codes(tmp_path, capsys):
     assert report(out)["results"]["issues"]
 
 
+def _assert_names_missing_key(cases, doc, err):
+    """For a document of cases (key, document lacking it), the error names the key."""
+    for key, missing in cases:
+        if missing == doc:
+            assert f"key {key!r}" in err
+
+
+_LABELS_MISSING_KEY = [
+    ("n", {"pearls": []}),
+    ("flips", {"n": 1, "pearls": [{"degree": 1}]}),
+    ("degree", {"n": 1, "pearls": [{"flips": [[1], [2], [3]]}]}),
+]
+
+_MODEL_HEAD = {"schema": "koszulmf-model/1", "n": 1,
+               "weights": ["1/3", "1/3", "1/3"], "aux": [2, 1, 1]}
+_GENERATOR = {"subset": [1], "zdeg": 1, "qdeg": "1/3", "weight": [-1, 0, 0]}
+
+_MODEL_MISSING_KEY = [
+    ("tables", dict(_MODEL_HEAD, generators=[])),
+    ("generators", dict(_MODEL_HEAD, tables={})),
+    ("zdeg", dict(_MODEL_HEAD, tables={}, generators=[
+        {k: v for k, v in _GENERATOR.items() if k != "zdeg"}
+    ])),
+    ("n", {k: v for k, v in dict(_MODEL_HEAD, generators=[_GENERATOR],
+                                 tables={}).items() if k != "n"}),
+]
+
+
 @pytest.mark.parametrize("doc", [
     {"n": 1, "pearls": [{"flips": [1, 2, 3], "degree": 1}]},
     {"n": "1", "pearls": [{"flips": [[1], [2], [3]], "degree": 1}]},
@@ -146,6 +188,8 @@ def test_validate_labels_exit_codes(tmp_path, capsys):
     {"n": 1, "pearls": [{"flips": [[4], [4]], "degree": 2}]},  # no index 4
     {"n": 1, "pearls": [[[1], [2], [3]]]},
     [{"n": 1}],
+    {"n": 1, "pearls": [{"flips": [[1, 1], [2], [3]], "degree": 1}]},
+    *(doc for _, doc in _LABELS_MISSING_KEY),
 ])
 def test_validate_labels_rejects_malformed_input(doc, tmp_path, capsys):
     path = tmp_path / "labels.json"
@@ -154,6 +198,7 @@ def test_validate_labels_rejects_malformed_input(doc, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "error" in err
+    _assert_names_missing_key(_LABELS_MISSING_KEY, doc, err)
 
 
 def test_rnc_report(capsys):
@@ -218,6 +263,8 @@ def test_opposite_is_involutive_through_files(model_file, tmp_path, capsys):
     {"schema": "koszulmf-model/1", "generators": [], "tables": {"2": [7]}},
     {"schema": "koszulmf-model/1", "generators": [],
      "tables": {"2": [[[], [[1], [2]], 1, 0]]}},
+    *(doc for _, doc in _MODEL_MISSING_KEY),
+    dict(_MODEL_HEAD, generators=[], tables={"2": [[[], [[1], [2]], 1, 1]]}),
 ])
 def test_model_commands_reject_malformed_file(doc, tmp_path, capsys):
     path = tmp_path / "model.json"
@@ -226,6 +273,7 @@ def test_model_commands_reject_malformed_file(doc, tmp_path, capsys):
         code, out, err = run_cli(argv + ["--model", str(path)], capsys)
         assert (code, out) == (2, "")
         assert "error" in err
+        _assert_names_missing_key(_MODEL_MISSING_KEY, doc, err)
 
 
 def test_smash_dimensions(model_file, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import product as iproduct
@@ -335,6 +336,35 @@ def test_admissible_tuples_against_scan():
 @pytest.fixture(scope="module")
 def model_n1():
     return build_minimal_model(MFConfig(1), arities=(2, 3, 4))
+
+
+def table_digest(model):
+    """sha256 of the sorted (k, K0, inputs, num, den) of the nonzero entries.
+
+    The digests pinned below are those of the transferred tables as first
+    recorded; any change to the engine must leave them identical.
+    """
+    rows = sorted(
+        (k, k0, ins, c.numerator, c.denominator)
+        for k, table in model.tables.items()
+        for (k0, ins), c in table.items()
+        if c
+    )
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def test_table_digest_n1(model_n1):
+    assert table_digest(model_n1) == (
+        "38761b15426359aa1ca3e11edf365094e986c2d65fe075565f5d14d623a8125e"
+    )
+
+
+def test_table_digest_weighted():
+    cfg = MFConfig(1, (F(1, 2), F(1, 3), F(1, 6)))
+    model = build_minimal_model(cfg, arities=(2, 3, 4))
+    assert table_digest(model) == (
+        "e52f70f0910320621ae19e2d671287faa6dc21b74587835588c110f5c9b1e988"
+    )
 
 
 def test_model_tables_satisfy_grading(model_n1):
