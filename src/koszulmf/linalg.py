@@ -10,8 +10,8 @@ columns and the canonical kernel; `homology_ranks` is built on it.  It
 accepts `int` or `Fraction` columns and eliminates on integers
 (fraction-free).  There is one contraction, `Contraction`, the
 per-degree splitting the transfer in `minimal` uses; its `split`
-reduces right-hand sides through the same elimination and is where the
-integer arithmetic turns back into `Fraction`s.
+reduces integer right-hand sides through the same elimination and makes
+`Fraction`s only for the harmonic coefficients.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ class LinSolver:
     at its smallest row, is positive.  Every vector is then a nonzero
     multiple of the one elimination over Q would store, so the pivots and
     the kernel's lines are exactly those of it; `Fraction`s are made only
-    in `Contraction.split`.
+    in `Contraction.split`, for the harmonic coefficients.
     """
 
     __slots__ = ("pivots", "kernel_ints", "_scale", "_steps", "_where")
@@ -177,9 +177,11 @@ class Contraction:
 
         x = sum_a alpha_a harmonic_a + sum_i c_i image_i + complement
 
-    where image_i = scale * d(e_sources[i]).  split(x) returns
-    (alpha, {sources[i]: scale * c_i}): p(x) as a list of harmonic
-    coefficients, and h(x) as a sparse vector one degree down.  The
+    where image_i = scale * d(e_sources[i]).  split(vec, den) takes x
+    as an integer vector over den and returns (alpha, pre, pre_den):
+    p(x) as a list of harmonic coefficients, and h(x) as the integer
+    vector pre over pre_den one degree down, pre[sources[i]] / pre_den
+    = scale * c_i.  The
     homotopy h inverts d from the complement one degree down onto the
     image and vanishes on the harmonic and complement parts, so the
     identities p i = 1, d h + h d = 1 - i p, h i = p h = h h = 0 hold by
@@ -187,8 +189,8 @@ class Contraction:
 
     kernel maps each free column f to an integer kernel vector of d_out
     that is nonzero at f, at any nonzero scale (`LinSolver.kernel_ints`).
-    split works on integers and divides once at the end; it is where the
-    transfer's coefficients become `Fraction`s again.
+    split works on integers throughout.  It divides the preimage by its
+    content once at the end and makes `Fraction`s only for alpha.
 
     Raises ValueError when the harmonic and image columns are dependent,
     and from split when the cycle part of x is outside their span.
@@ -207,13 +209,19 @@ class Contraction:
         if self._solver.kernel_ints:
             raise ValueError("harmonic and image columns are dependent")
 
-    def split(self, vec):
+    def split(self, vec, den):
+        """(alpha, pre, pre_den) of the vector {index: int} / den, den > 0.
+
+        alpha is p(x) as a list of `Fraction`s; h(x) is {source: int} /
+        pre_den with pre_den > 0 and gcd(pre_den, *pre.values()) == 1.
+        """
         cycles = self._cycles
-        picked = [(cycles[f], c) for f, c in vec.items() if c and f in cycles]
-        den = lcm(*(c.denominator for _, c in picked))
         cycle = {}
-        for (kvec, mult), c in picked:
-            _axpy(cycle, kvec, mult * c.numerator * (den // c.denominator))
+        for f, c in vec.items():
+            hit = cycles.get(f)
+            if hit is not None and c:
+                kvec, mult = hit
+                _axpy(cycle, kvec, mult * c)
         combo = {}
         m = self._solver._eliminate(cycle, combo) * den * self._den
         if cycle:
@@ -226,10 +234,11 @@ class Contraction:
             if i < nharm:
                 harm[i] = Fraction(combo[i] * num, m)
             else:
-                pre[self.sources[i - nharm]] = Fraction(
-                    combo[i] * num * self.scale, m
-                )
-        return harm, pre
+                pre[self.sources[i - nharm]] = combo[i] * num * self.scale
+        g = gcd(m, *pre.values())
+        if g != 1:
+            pre = {src: v // g for src, v in pre.items()}
+        return harm, pre, m // g
 
 
 def _primitive(vec, expr, lead):

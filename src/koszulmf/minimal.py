@@ -10,7 +10,9 @@ exterior algebra on n+2 odd generators, one per variable; this module
     one `linalg.Contraction` per piece (the harmonic line is spanned by
     the dbar product of its exterior label),
   * runs the homological-perturbation tree sum to transfer the product
-    to A-infinity operations mu^k on the exterior basis {e_K}.
+    to A-infinity operations mu^k on the exterior basis {e_K}.  The
+    tree sum runs on integer vectors over one denominator; only the
+    coefficients of mu^k are `Fraction`s.
 
 Conventions, frozen after calibrating against the arity <= 4 Stasheff
 identities at n = 1:
@@ -31,6 +33,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
+from math import lcm
+from operator import add
 
 from .lattice import (
     LatticeClass,
@@ -44,11 +48,13 @@ from .weyl import (
     MFConfig,
     OperatorElement,
     bigraded_basis,
+    clifford_product,
     delta_terms,
     differential_columns,
 )
 
 ZERO = Fraction(0)
+_EMPTY = ({}, 1)  # the one zero block; never mutated
 
 
 class BadChoice(ValueError):
@@ -113,7 +119,7 @@ def dbar_product(kmask, choice, cfg):
 
 
 class _Engine:
-    """Shared caches for one (cfg, choice): pieces, blocks, representatives."""
+    """Shared caches for one (cfg, choice): bases, pieces and blocks."""
 
     def __init__(self, cfg, choice):
         self.cfg = cfg
@@ -125,7 +131,6 @@ class _Engine:
         self._outred = {}
         self._pieces = {}
         self._blocks = {}
-        self._reps = {}
 
     # -- bigraded piece plumbing --------------------------------------
 
@@ -164,13 +169,6 @@ class _Engine:
                 return mask
         return None
 
-    def rep(self, kmask):
-        hit = self._reps.get(kmask)
-        if hit is None:
-            hit = dbar_product(kmask, self.choice, self.cfg)
-            self._reps[kmask] = hit
-        return hit
-
     def piece(self, key):
         """The piece's contraction and the K0 of its harmonic line (or None)."""
         hit = self._pieces.get(key)
@@ -188,11 +186,11 @@ class _Engine:
                 )
             harmonic = []
             if harm_mask is not None:
-                r = self.rep(harm_mask)
-                vec = {index[m]: c for m, c in r.terms.items()}
+                terms, den = self.block((harm_mask,))
+                vec = {index[m]: c for m, c in terms.items()}
                 if any(compose(cols, [vec])):
                     raise RuntimeError("representative is not a cocycle")
-                harmonic.append(vec)
+                harmonic.append({r: Fraction(c, den) for r, c in vec.items()})
             image = [prev_cols[c] for c in prev_pivots]
             try:
                 con = Contraction(kernel, harmonic, image, prev_pivots, self.scale)
@@ -202,25 +200,27 @@ class _Engine:
             self._pieces[key] = hit
         return hit
 
-    def split(self, x, key):
-        """Cycle-part decomposition: (harmonic coeffs, homotopy preimage).
+    def split(self, terms, den, key):
+        """Cycle-part decomposition of {monomial: int} / den in the piece.
 
-        Returns ({K0: coef}, h(x)) where h(x) lies one degree down in the
-        distinguished complement; the component of x outside ker(d) is
-        discarded, which is exactly what both p and h do to it.
+        Returns ({K0: coef}, pre, pre_den): the harmonic coefficient as a
+        `Fraction`, and h(x) one degree down in the distinguished
+        complement as {monomial: int} / pre_den, content-reduced.  The
+        component of x outside ker(d) is discarded, which is exactly what
+        both p and h do to it.
         """
         con, harm_mask = self.piece(key)
         _, index = self.basis(key)
         try:
-            harm, pre = con.split({index[m]: c for m, c in x.terms.items()})
+            harm, pre, pre_den = con.split(
+                {index[m]: c for m, c in terms.items()}, den
+            )
         except ValueError as exc:
             raise RuntimeError(f"piece {key}: {exc}") from exc
         alpha = {harm_mask: harm[0]} if harm and harm[0] else {}
         wrep, qnum = key
         below, _ = self.basis((wrep, qnum - self.step))
-        return alpha, OperatorElement(
-            self.cfg, {below[src]: c for src, c in pre.items()}
-        )
+        return alpha, {below[src]: c for src, c in pre.items()}, pre_den
 
     # -- transfer tree sum --------------------------------------------
 
@@ -239,40 +239,77 @@ class _Engine:
         )
 
     def block(self, masks):
-        """Lambda_k of a contiguous argument block: i for k=1, H(lambda) above."""
+        """Lambda_k of a contiguous argument block as (terms, den).
+
+        terms is {monomial: int} and den > 0, with gcd(den, *terms) == 1;
+        the block is i(e_K) for k = 1 and H(lambda_k) above.  Its parity
+        is sum |K_i| + k - 1 (mod 2), read off the masks.
+        """
         hit = self._blocks.get(masks)
         if hit is None:
             if len(masks) == 1:
-                hit = self.rep(masks[0])
+                rep = dbar_product(masks[0], self.choice, self.cfg).terms
+                den = lcm(*(c.denominator for c in rep.values()))
+                hit = ({m: c.numerator * (den // c.denominator)
+                        for m, c in rep.items()}, den)
             else:
-                lam = self.tree_sum(masks)
-                if lam.is_zero():
-                    hit = lam
-                else:
-                    sign = -1 if lam.parity() else 1
-                    _, h = self.split(lam, self.lambda_key(masks))
-                    hit = h.scale(sign) if sign < 0 else h
+                lam, den = self.tree_sum(masks)
+                hit = _EMPTY
+                if lam:
+                    key = self.lambda_key(masks)
+                    _, pre, pre_den = self.split(lam, den, key)
+                    if pre:
+                        # H = (-1)^{parity(lambda)} h, and lambda has the
+                        # opposite parity to the block
+                        if not _parity(masks):
+                            pre = {m: -c for m, c in pre.items()}
+                        hit = (pre, pre_den)
             self._blocks[masks] = hit
         return hit
 
     def tree_sum(self, masks):
-        """lambda_k = sum over splits of B2(Lambda(left), Lambda(right))."""
-        acc = OperatorElement(self.cfg)
+        """lambda_k = sum over splits of B2(Lambda(left), Lambda(right)).
+
+        Returns (terms, den) with {monomial: int} terms and den the lcm of
+        the products of the two blocks' denominators over the splits.
+        """
+        cuts = []
+        den = 1
         for cut in range(1, len(masks)):
-            left = self.block(masks[:cut])
-            right = self.block(masks[cut:])
-            if left.is_zero() or right.is_zero():
+            tail = masks[cut:]
+            left, lden = self.block(masks[:cut])
+            right, rden = self.block(tail)
+            if not left or not right:
                 continue
-            term = left * right
-            acc = acc - term if right.parity() else acc + term
-        return acc
+            cuts.append((left, right, lden * rden, _parity(tail)))
+            den = lcm(den, lden * rden)
+        acc = {}
+        get = acc.get
+        for left, right, pair_den, odd in cuts:
+            f = den // pair_den
+            if odd:  # B2(v, u) = (-1)^{parity(u)} v*u
+                f = -f
+            for (a1, s1, t1), c1 in left.items():
+                c1 *= f
+                for (a2, s2, t2), c2 in right.items():
+                    a = tuple(map(add, a1, a2))
+                    c = c1 * c2
+                    for s, t, sign in clifford_product(s1, t1, s2, t2):
+                        key = (a, s, t)
+                        acc[key] = get(key, 0) + (c if sign > 0 else -c)
+        return {m: c for m, c in acc.items() if c}, den
 
     def mu(self, masks):
-        lam = self.tree_sum(masks)
-        if lam.is_zero():
+        lam, den = self.tree_sum(masks)
+        if not lam:
             return {}
-        alpha, _ = self.split(lam, self.lambda_key(masks))
+        alpha, _, _ = self.split(lam, den, self.lambda_key(masks))
         return alpha
+
+
+def _parity(masks):
+    """Parity of a block over masks: sum |K_i| + k - 1 (mod 2)."""
+    return (sum(map(size, masks)) + len(masks) - 1) & 1
 
 
 def _engine(cfg, choice):

@@ -69,7 +69,9 @@ class CurveData:
 def solve_nodes(n, p_phi):
     """Curve through the p_{j} with u(0) = p_phi; nodes are 1/x for the
     gauge-fixed solution x, so a vanishing or repeated coordinate of the
-    target is degenerate."""
+    target is degenerate.  n must be at least 1."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
     x = gauge_solution(n, p_phi)
     if any(v == 0 for v in x):
         raise DegenerateTarget("target coordinate vanishes, node at infinity")

@@ -58,6 +58,8 @@ def test_usage_and_precondition_errors(capsys):
         # a zero denominator is a usage error, not a failed check
         ["minimal-model", "--n", "1", "--a-weights", "1/0,1,0"],
         ["rnc", "--n", "1", "--pphi", "1/0,1,1"],
+        # n = 0 would pass every rnc check vacuously
+        ["rnc", "--n", "0", "--pphi", "1,-1"],
         ["coamoeba", "--theta", "nan,0,0"],
         ["coamoeba", "--theta", "inf,0"],
         ["pearl-degree", "--n", "1", "--k0", "-", "--inputs", "1,1", "2", "3"],

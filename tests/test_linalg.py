@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -101,6 +101,26 @@ def _kernel(solver):
     }
 
 
+def _int_vector(vec):
+    """A sparse `Fraction` vector as ({index: int}, den), the input of
+    `Contraction.split`."""
+    vec = {i: F(v) for i, v in vec.items() if v}
+    den = lcm(*(v.denominator for v in vec.values()))
+    return {i: v.numerator * (den // v.denominator) for i, v in vec.items()}, den
+
+
+def _split(con, vec):
+    """`Contraction.split` on a `Fraction` vector: (alpha, h(x) as Fractions).
+
+    Also checks the integer contract: h(x) comes back content-reduced
+    over a positive denominator.
+    """
+    alpha, pre, den = con.split(*_int_vector(vec))
+    assert den > 0 and gcd(den, *pre.values()) == 1
+    assert all(type(v) is int for v in pre.values())
+    return alpha, {i: F(v, den) for i, v in pre.items()}
+
+
 def _solve(columns, rhs):
     """(coefficients, ok) of rhs over the columns, through `Contraction.split`.
 
@@ -115,7 +135,7 @@ def _solve(columns, rhs):
     con = Contraction({r: {r: 1} for r in rhs}, [],
                       [columns[p] for p in pivots], pivots, 1)
     try:
-        _, pre = con.split(rhs)
+        _, pre = _split(con, rhs)
     except ValueError:
         return None, False
     coefs = [ZERO] * len(columns)
@@ -380,7 +400,7 @@ def contraction_parts(con, harmonic, dim):
     """(i, p, h) of one degree as column lists; p and h are read off split."""
     p_cols, h_cols = [], []
     for j in range(dim):
-        alpha, pre = con.split({j: ONE})
+        alpha, pre = _split(con, {j: ONE})
         p_cols.append({a: c for a, c in enumerate(alpha) if c})
         h_cols.append(pre)
     return harmonic, p_cols, h_cols
@@ -451,7 +471,7 @@ def test_contraction_rejects_dependent_columns():
     # a cycle e_1 outside the span of the image column e_0
     con = Contraction({1: {1: 1}}, [], [{0: F(1)}], [0], 1)
     with pytest.raises(ValueError):
-        con.split({1: F(1)})
+        _split(con, {1: F(1)})
 
 
 def test_linsolver_roundtrip():

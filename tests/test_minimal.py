@@ -1,7 +1,9 @@
 import hashlib
 import random
 from fractions import Fraction
-from itertools import product as iproduct
+from functools import lru_cache
+from itertools import permutations, product as iproduct
+from math import gcd
 
 import pytest
 
@@ -30,11 +32,13 @@ from koszulmf.weyl import (
     OperatorElement,
     bigraded_basis,
     differential,
+    mono_parity,
     mono_qdeg_num,
     mono_weight,
 )
 from test_linalg import (
-    _add, _identity, assert_contraction_identities, contraction_parts,
+    _add, _identity, _int_vector, _split, assert_contraction_identities,
+    contraction_parts,
 )
 
 F = Fraction
@@ -201,7 +205,7 @@ def test_contraction_projects_exact_to_zero():
     d_in = _engine_d_out(eng, below)
     assert len(d_in) == len(eng.basis(below)[0]) > 0
     for col in d_in:
-        alpha, _ = con.split(col)
+        alpha, _ = _split(con, col)
         assert not any(alpha)
 
 
@@ -241,27 +245,35 @@ def test_engine_contraction_identities():
         if key in exterior:
             kmask = exterior[key]
             assert eng.piece(key)[1] == kmask
-            alpha, h = eng.split(dbar_product(kmask, choice, cfg), key)
+            rep = dbar_product(kmask, choice, cfg)
+            alpha, h, _ = eng.split(*_int_vector(rep.terms), key)
             assert alpha == {kmask: F(1)}
-            assert h.is_zero()
+            assert not h
 
 
-@pytest.mark.parametrize(
-    "cfg, arities, scale",
-    [
-        (MFConfig(1), (2, 3, 4), 3),
-        (MFConfig(2), (2, 4), 4),
-        (MFConfig(1, (F(1, 2), F(1, 3), F(1, 6))), (2, 3, 4), 6),
-    ],
-)
-def test_outgoing_columns_match_differential(cfg, arities, scale):
-    # every outgoing map the build touches holds D * d on ints, with D the
-    # lcm of the weights' denominators; differential() is the reference
+BUILDS = [
+    (MFConfig(1), (2, 3, 4), 3),
+    (MFConfig(2), (2, 4), 4),
+    (MFConfig(1, (F(1, 2), F(1, 3), F(1, 6))), (2, 3, 4), 6),
+]
+
+
+@lru_cache(maxsize=len(BUILDS))
+def _built_engine(cfg, arities):
+    """A fresh engine that has run every admissible tuple of the arities."""
     n = cfg.n
     eng = _Engine(cfg, CohomologyBasisChoice.default(n))
     for k in arities:
         for tup in admissible_tuples(n, k, (k - 2) // n):
             eng.mu(tup)
+    return eng
+
+
+@pytest.mark.parametrize("cfg, arities, scale", BUILDS)
+def test_outgoing_columns_match_differential(cfg, arities, scale):
+    # every outgoing map the build touches holds D * d on ints, with D the
+    # lcm of the weights' denominators; differential() is the reference
+    eng = _built_engine(cfg, arities)
     assert eng.scale == scale
     assert eng._outred
     for key in eng._outred:
@@ -273,6 +285,62 @@ def test_outgoing_columns_match_differential(cfg, arities, scale):
             assert {r: F(v, scale) for r, v in col.items()} == {
                 tindex[m]: c for m, c in image.terms.items()
             }
+
+
+def _reference_h(eng, x, key):
+    """h(x) of the `OperatorElement` x in the piece key, one degree down."""
+    con, _ = eng.piece(key)
+    _, index = eng.basis(key)
+    _, pre = _split(con, {index[m]: c for m, c in x.terms.items()})
+    below, _ = eng.basis((key[0], key[1] - eng.step))
+    return OperatorElement(eng.cfg, {below[src]: c for src, c in pre.items()})
+
+
+def _reference_block(eng, masks, memo):
+    """Lambda_k as an `OperatorElement`: the oracle for `_Engine.block`.
+
+    The tree-sum recursion on `Fraction` coefficients that the engine ran
+    before its blocks became integer vectors: i(e_K) = dbar_K for one
+    mask, and above that H(lambda) = (-1)^{parity(lambda)} h(lambda),
+    with lambda the sum over the splits of
+    B2(Lambda(left), Lambda(right)) = (-1)^{parity(right)} left * right.
+    Parities are read off the terms.  memo maps masks to blocks.
+    """
+    hit = memo.get(masks)
+    if hit is None:
+        if len(masks) == 1:
+            hit = dbar_product(masks[0], eng.choice, eng.cfg)
+        else:
+            lam = OperatorElement(eng.cfg)
+            for cut in range(1, len(masks)):
+                left = _reference_block(eng, masks[:cut], memo)
+                right = _reference_block(eng, masks[cut:], memo)
+                if left.is_zero() or right.is_zero():
+                    continue
+                term = left * right
+                lam = lam - term if right.parity() else lam + term
+            hit = lam
+            if not lam.is_zero():
+                h = _reference_h(eng, lam, eng.lambda_key(masks))
+                hit = h.scale(-1) if lam.parity() else h
+        memo[masks] = hit
+    return hit
+
+
+@pytest.mark.parametrize("cfg, arities, scale", BUILDS)
+def test_blocks_match_reference(cfg, arities, scale):
+    # every block the build stores, against the Fraction recursion: the
+    # same coefficients, content-reduced, with the parity of the masks
+    eng = _built_engine(cfg, arities)
+    assert eng._blocks
+    memo = {}
+    for masks, (terms, den) in eng._blocks.items():
+        ref = _reference_block(eng, masks, memo)
+        assert {m: F(c, den) for m, c in terms.items()} == ref.terms, masks
+        assert den > 0 and gcd(den, *terms.values()) == 1
+        assert all(type(c) is int for c in terms.values())
+        parity = (sum(map(size, masks)) + len(masks) - 1) % 2
+        assert all(mono_parity(m) == parity for m in terms)
 
 
 def test_mu2_on_generators():
@@ -356,6 +424,27 @@ def table_digest(model):
 def test_table_digest_n1(model_n1):
     assert table_digest(model_n1) == (
         "38761b15426359aa1ca3e11edf365094e986c2d65fe075565f5d14d623a8125e"
+    )
+
+
+def test_versal_orderings_digest_n3():
+    # the deepest tree sum tier-1 runs: mu^5 on the 120 orderings of the
+    # singletons at n=3; four are nonzero, three at -1/5 and one at -2/5
+    cfg = MFConfig(3)
+    rows = sorted(
+        (perm, k0, c.numerator, c.denominator)
+        for perm in permutations((1, 2, 4, 8, 16))
+        for k0, c in minimal_mu(5, perm, cfg).items()
+        if c
+    )
+    assert [(perm, F(num, den)) for perm, _, num, den in rows] == [
+        ((8, 4, 2, 16, 1), F(-1, 5)),
+        ((16, 4, 2, 8, 1), F(-1, 5)),
+        ((16, 8, 2, 4, 1), F(-1, 5)),
+        ((16, 8, 4, 2, 1), F(-2, 5)),
+    ]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "29ff1598e4a8c26e5a6c6a89688386359eb69aa9c012a255a036fdcaea903590"
     )
 
 

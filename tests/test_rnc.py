@@ -105,6 +105,8 @@ def test_solve_nodes_values_and_degeneracies():
         solve_nodes(1, (1, -2, 1))  # repeated node
     with pytest.raises(ValueError):
         solve_nodes(1, (1, 1, 1))
+    with pytest.raises(ValueError):
+        solve_nodes(0, (1, -1))  # no curve of degree 0
 
 
 def test_curve_data_validation():
