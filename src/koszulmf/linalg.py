@@ -9,9 +9,9 @@ over columns in their given order.  One pass gives the independent
 columns and the canonical kernel; `homology_ranks` is built on it.  It
 accepts `int` or `Fraction` columns and eliminates on integers
 (fraction-free).  There is one contraction, `Contraction`, the
-per-degree splitting the transfer in `minimal` uses; its `split`
-reduces integer right-hand sides through the same elimination and makes
-`Fraction`s only for the harmonic coefficients.
+per-degree splitting of `minimal`'s transfer, built and checked from the
+maps into and out of its degree; its `split` reduces integer vectors by
+the same elimination and makes `Fraction`s only for harmonic parts.
 """
 
 from __future__ import annotations
@@ -169,51 +169,54 @@ class LinSolver:
 class Contraction:
     """Contraction of one degree of a bounded cochain complex onto its cohomology.
 
-    The space splits as im(d_in) + harmonic + complement.  The complement
-    is spanned by the standard basis vectors at the pivot columns of the
-    outgoing map, so a vector x projects onto ker(d_out) along it as
-    sum_f x_f kernel[f] over the free columns f.  That cycle is then
-    written in the harmonic columns and the incoming image columns:
+    d_in and d_out are the columns of scale * d into and out of the
+    degree, and harmonic its cohomology representatives.  A vector x is
+    projected onto ker(d_out) along the standard basis vectors at d_out's
+    pivot columns (the complement), and that cycle is written as
 
-        x = sum_a alpha_a harmonic_a + sum_i c_i image_i + complement
+        x = sum_a alpha_a harmonic_a + sum_j c_j d_in_j + complement
 
-    where image_i = scale * d(e_sources[i]).  split(vec, den) takes x
-    as an integer vector over den and returns (alpha, pre, pre_den):
-    p(x) as a list of harmonic coefficients, and h(x) as the integer
-    vector pre over pre_den one degree down, pre[sources[i]] / pre_den
-    = scale * c_i.  The
-    homotopy h inverts d from the complement one degree down onto the
-    image and vanishes on the harmonic and complement parts, so the
-    identities p i = 1, d h + h d = 1 - i p, h i = p h = h h = 0 hold by
-    construction (Crainic, arXiv math/0403266); tests check them.
+    with c_j = 0 at d_in's dependent columns.  split(vec, den) takes x as
+    an integer vector over den and returns (alpha, pre, pre_den): p(x) as
+    a list of harmonic coefficients, and h(x) one degree down as pre /
+    pre_den keyed by d_in column, pre[j] / pre_den = scale * c_j.  Then
+    p i = 1, d h + h d = 1 - i p and h i = p h = h h = 0 hold by
+    construction (Crainic, arXiv math/0403266); tests check them.  split
+    eliminates on integers and makes `Fraction`s only for alpha.
 
-    kernel maps each free column f to an integer kernel vector of d_out
-    that is nonzero at f, at any nonzero scale (`LinSolver.kernel_ints`).
-    split works on integers throughout.  It divides the preimage by its
-    content once at the end and makes `Fraction`s only for alpha.
-
-    Raises ValueError when the harmonic and image columns are dependent,
-    and from split when the cycle part of x is outside their span.
+    Raises ValueError when a harmonic column is not a cocycle, when one
+    depends on the others or on the image, and when their number is not
+    the cohomology's dimension; split raises it when the cycle part of x
+    is outside their span (only if d_out d_in != 0).
     """
 
-    __slots__ = ("nharm", "sources", "scale", "_cycles", "_den", "_solver")
+    __slots__ = ("nharm", "scale", "_cycles", "_den", "_solver")
 
-    def __init__(self, kernel, harmonic, image, sources, scale):
-        self.nharm = len(harmonic)
-        self.sources = list(sources)
+    def __init__(self, d_in, d_out, harmonic, scale):
+        if any(compose(d_out, harmonic)):
+            raise ValueError("a harmonic column is not a cocycle")
+        self.nharm = nharm = len(harmonic)
         self.scale = scale
+        self._solver = solver = LinSolver(list(harmonic) + list(d_in))
+        # a kernel vector with a harmonic coefficient is a dependence
+        if any(min(vec) < nharm for vec in solver.kernel_ints.values()):
+            raise ValueError("harmonic and image columns are dependent")
+        solver.kernel_ints.clear()  # d_in's kernel: split does not read it
+        out = LinSolver(d_out)
+        hdim = len(d_out) - len(out.pivots) - (len(solver.pivots) - nharm)
+        if hdim != nharm:
+            raise ValueError(
+                f"{nharm} harmonic columns for cohomology of rank {hdim}")
+        kernel = out.kernel_ints
         # (vec, mult): mult * vec is _den times the kernel vector normalized at f
         self._den = den = lcm(*(vec[f] for f, vec in kernel.items()))
         self._cycles = {f: (vec, den // vec[f]) for f, vec in kernel.items()}
-        self._solver = LinSolver(list(harmonic) + list(image))
-        if self._solver.kernel_ints:
-            raise ValueError("harmonic and image columns are dependent")
 
     def split(self, vec, den):
         """(alpha, pre, pre_den) of the vector {index: int} / den, den > 0.
 
-        alpha is p(x) as a list of `Fraction`s; h(x) is {source: int} /
-        pre_den with pre_den > 0 and gcd(pre_den, *pre.values()) == 1.
+        alpha is p(x) as a list of `Fraction`s; h(x) is {d_in column: int}
+        / pre_den with pre_den > 0 and gcd(pre_den, *pre.values()) == 1.
         """
         cycles = self._cycles
         cycle = {}
@@ -234,7 +237,7 @@ class Contraction:
             if i < nharm:
                 harm[i] = Fraction(combo[i] * num, m)
             else:
-                pre[self.sources[i - nharm]] = combo[i] * num * self.scale
+                pre[i - nharm] = combo[i] * num * self.scale
         g = gcd(m, *pre.values())
         if g != 1:
             pre = {src: v // g for src, v in pre.items()}

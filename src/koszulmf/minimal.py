@@ -7,8 +7,9 @@ exterior algebra on n+2 odd generators, one per variable; this module
   * builds explicit cocycle representatives dbar_j and their ordered
     products dbar_K,
   * contracts every piece it touches onto its cohomology, lazily, with
-    one `linalg.Contraction` per piece (the harmonic line is spanned by
-    the dbar product of its exterior label),
+    one `linalg.Contraction` per piece, built from the piece's D * d
+    columns in and out (the harmonic line is spanned by the dbar product
+    of its exterior label; the contraction checks that it spans),
   * runs the homological-perturbation tree sum to transfer the product
     to A-infinity operations mu^k on the exterior basis {e_K}.  The
     tree sum runs on integer vectors over one denominator; only the
@@ -34,7 +35,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import lcm
-from operator import add
 
 from .lattice import (
     LatticeClass,
@@ -43,14 +43,14 @@ from .lattice import (
     size,
     weight,
 )
-from .linalg import Contraction, LinSolver, compose
+from .linalg import Contraction, homology_ranks
 from .weyl import (
     MFConfig,
     OperatorElement,
     bigraded_basis,
-    clifford_product,
     delta_terms,
     differential_columns,
+    multiply_into,
 )
 
 ZERO = Fraction(0)
@@ -119,7 +119,8 @@ def dbar_product(kmask, choice, cfg):
 
 
 class _Engine:
-    """Shared caches for one (cfg, choice): bases, pieces and blocks."""
+    """Shared caches for one (cfg, choice): bases, D * d columns, pieces
+    and blocks."""
 
     def __init__(self, cfg, choice):
         self.cfg = cfg
@@ -128,7 +129,7 @@ class _Engine:
         self.step = cfg.n + 2
         self.scale = delta_terms(cfg)[0]
         self._bases = {}
-        self._outred = {}
+        self._columns = {}
         self._pieces = {}
         self._blocks = {}
 
@@ -145,17 +146,19 @@ class _Engine:
             self._bases[key] = hit
         return hit
 
-    def outgoing(self, key):
-        """d out of the piece: (pivots, integer kernel, columns of D * d on ints)."""
-        hit = self._outred.get(key)
+    def columns(self, key):
+        """D * d out of the piece as int columns; rows index the piece above.
+
+        Cached: a piece's outgoing map is also the incoming map of the
+        piece one degree up.
+        """
+        hit = self._columns.get(key)
         if hit is None:
             wrep, qnum = key
             basis, _ = self.basis(key)
             _, tindex = self.basis((wrep, qnum + self.step))
-            cols = differential_columns(basis, tindex, self.cfg)
-            solver = LinSolver(cols)
-            hit = (solver.pivots, solver.kernel_ints, cols)
-            self._outred[key] = hit
+            hit = differential_columns(basis, tindex, self.cfg)
+            self._columns[key] = hit
         return hit
 
     def exterior_label(self, key):
@@ -174,26 +177,17 @@ class _Engine:
         hit = self._pieces.get(key)
         if hit is None:
             wrep, qnum = key
-            basis, index = self.basis(key)
-            pivots, kernel, cols = self.outgoing(key)
-            prev_pivots, _, prev_cols = self.outgoing((wrep, qnum - self.step))
+            _, index = self.basis(key)
             harm_mask = self.exterior_label(key)
-            hdim = len(basis) - len(pivots) - len(prev_pivots)
-            if hdim != (0 if harm_mask is None else 1):
-                raise RuntimeError(
-                    f"piece {key} has cohomology dimension {hdim}, "
-                    f"expected {'0' if harm_mask is None else '1'}"
-                )
             harmonic = []
             if harm_mask is not None:
                 terms, den = self.block((harm_mask,))
-                vec = {index[m]: c for m, c in terms.items()}
-                if any(compose(cols, [vec])):
-                    raise RuntimeError("representative is not a cocycle")
-                harmonic.append({r: Fraction(c, den) for r, c in vec.items()})
-            image = [prev_cols[c] for c in prev_pivots]
+                harmonic.append(
+                    {index[m]: Fraction(c, den) for m, c in terms.items()}
+                )
             try:
-                con = Contraction(kernel, harmonic, image, prev_pivots, self.scale)
+                con = Contraction(self.columns((wrep, qnum - self.step)),
+                                  self.columns(key), harmonic, self.scale)
             except ValueError as exc:
                 raise RuntimeError(f"piece {key}: {exc}") from exc
             hit = (con, harm_mask)
@@ -284,19 +278,11 @@ class _Engine:
             cuts.append((left, right, lden * rden, _parity(tail)))
             den = lcm(den, lden * rden)
         acc = {}
-        get = acc.get
         for left, right, pair_den, odd in cuts:
             f = den // pair_den
             if odd:  # B2(v, u) = (-1)^{parity(u)} v*u
                 f = -f
-            for (a1, s1, t1), c1 in left.items():
-                c1 *= f
-                for (a2, s2, t2), c2 in right.items():
-                    a = tuple(map(add, a1, a2))
-                    c = c1 * c2
-                    for s, t, sign in clifford_product(s1, t1, s2, t2):
-                        key = (a, s, t)
-                        acc[key] = get(key, 0) + (c if sign > 0 else -c)
+            multiply_into(acc, f, left, right)
         return {m: c for m, c in acc.items() if c}, den
 
     def mu(self, masks):
@@ -335,11 +321,9 @@ def cohomology_dim(w, q, cfg):
     if qnum.denominator != 1:
         return 0
     eng = _engine(cfg, None)
-    key = (w.rep, int(qnum))
-    basis, _ = eng.basis(key)
-    rank_out = len(eng.outgoing(key)[0])
-    rank_prev = len(eng.outgoing((key[0], key[1] - eng.step))[0])
-    return len(basis) - rank_out - rank_prev
+    keys = [(w.rep, int(qnum) + i * eng.step) for i in (-1, 0, 1)]
+    dims = [len(eng.basis(key)[0]) for key in keys]
+    return homology_ranks(dims, [eng.columns(key) for key in keys[:2]])[1]
 
 
 def minimal_mu(k, inputs, cfg, choice=None, arity_bound=None):

@@ -8,9 +8,9 @@ with z coefficients.  A monomial is stored normal ordered as
 
 with a a tuple of nonnegative ints and S, T subset masks; within each
 block generators appear in ascending index order.  The z_j are central,
-so every product of monomials is one lookup in a mask-keyed Clifford
-table (`clifford_product`, signs +-1) plus exponent addition; that is
-the only operator product.  The curved differential is conjugation by
+so `multiply_into`, the one product loop, multiplies two monomials by
+one lookup in a mask-keyed Clifford table (`clifford_product`, signs
++-1) plus exponent addition.  The curved differential is conjugation by
 
     delta = sum_j  z_j dtheta_j + a_j (W / z_j) theta_j,
 
@@ -71,6 +71,10 @@ class MFConfig:
             if sum(a) != 1:
                 raise BadConfig("factorization weights must sum to 1")
             object.__setattr__(self, "a", a)
+        object.__setattr__(self, "_hash", hash((self.n, self.a)))
+
+    def __hash__(self):  # once: configs key caches; Fraction hashing is slow
+        return self._hash
 
     @property
     def nvars(self):
@@ -154,6 +158,19 @@ def clifford_product(s1, t1, s2, t2):
     return tuple((s, t, c) for (s, t), c in terms.items())
 
 
+def multiply_into(acc, factor, left, right):
+    """acc += factor * left * right on {monomial: coef} dicts; keeps zeros."""
+    get = acc.get
+    for (a1, s1, t1), c1 in left.items():
+        c1 *= factor
+        for (a2, s2, t2), c2 in right.items():
+            a = tuple(map(add, a1, a2))
+            c = c1 * c2
+            for s, t, sign in clifford_product(s1, t1, s2, t2):
+                key = (a, s, t)
+                acc[key] = get(key, 0) + (c if sign > 0 else -c)
+
+
 class OperatorElement:
     """A finite Q-linear combination of normal ordered monomials."""
 
@@ -201,12 +218,7 @@ class OperatorElement:
         if not isinstance(other, OperatorElement):
             return NotImplemented
         out = {}
-        for (a1, s1, t1), c1 in self.terms.items():
-            for (a2, s2, t2), c2 in other.terms.items():
-                a = tuple(map(add, a1, a2))
-                c = c1 * c2
-                for s, t, sign in clifford_product(s1, t1, s2, t2):
-                    _accumulate(out, (a, s, t), c if sign > 0 else -c)
+        multiply_into(out, 1, self.terms, other.terms)
         return OperatorElement(self.cfg, out)
 
     def is_zero(self):

@@ -124,19 +124,17 @@ def _split(con, vec):
 def _solve(columns, rhs):
     """(coefficients, ok) of rhs over the columns, through `Contraction.split`.
 
-    The complex has a zero outgoing map: every coordinate of rhs is a
-    free column with itself as kernel vector, there is no harmonic
-    column, and the image is the independent columns with sources =
-    pivots.  split then returns the coefficients keyed by pivot, zero at
-    the dependent columns, and raises ValueError (ok False, coefficients
-    None) exactly when rhs is outside the span of the columns.
+    The columns are d_in of a degree with a zero outgoing map, whose
+    harmonic columns are unit vectors completing them to a basis.  split
+    then returns the coefficients keyed by column, zero at the dependent
+    ones, and a nonzero harmonic part (ok False, coefficients None)
+    exactly when rhs is outside the span of the columns.
     """
-    pivots = LinSolver(columns).pivots
-    con = Contraction({r: {r: 1} for r in rhs}, [],
-                      [columns[p] for p in pivots], pivots, 1)
-    try:
-        _, pre = _split(con, rhs)
-    except ValueError:
+    dim = 1 + max((r for col in [*columns, rhs] for r in col), default=-1)
+    harmonic = _pick_harmonic(columns, _identity(dim))
+    con = Contraction(columns, [{}] * dim, harmonic, 1)
+    alpha, pre = _split(con, rhs)
+    if any(alpha):
         return None, False
     coefs = [ZERO] * len(columns)
     for i, c in pre.items():
@@ -425,7 +423,7 @@ def assert_contraction_identities(d_in, d_out, below, mid, above):
 
 
 def _pick_harmonic(image, kernel):
-    """Kernel vectors that complete the image columns to a basis of the cycles."""
+    """Kernel vectors completing the span of the image columns to the cycles."""
     solver = LinSolver(image + kernel)
     return [kernel[j - len(image)] for j in solver.pivots if j >= len(image)]
 
@@ -439,11 +437,9 @@ def _check_complex(dims, maps):
     for k, dim in enumerate(dims):
         d_in = maps[k - 1] if k else []
         d_out = maps[k] if k < len(maps) else [{}] * dim
-        out = LinSolver(d_out)
-        inc = LinSolver(d_in)
-        image = [d_in[c] for c in inc.pivots]
-        harmonic = _pick_harmonic(image, list(_kernel(out).values()))
-        con = Contraction(out.kernel_ints, harmonic, image, inc.pivots, 1)
+        kernel = list(_kernel(LinSolver(d_out)).values())
+        harmonic = _pick_harmonic(d_in, kernel)
+        con = Contraction(d_in, d_out, harmonic, 1)
         parts.append(contraction_parts(con, harmonic, dim))
     ranks = homology_ranks(dims[1:-1], maps[1:-1])
     assert [len(i) for i, _, _ in parts] == [0] + ranks + [0]
@@ -466,10 +462,22 @@ def test_contraction_respects_known_homology():
 
 
 def test_contraction_rejects_dependent_columns():
-    with pytest.raises(ValueError):
-        Contraction({}, [{0: F(1)}], [{0: F(2)}], [0], 1)
-    # a cycle e_1 outside the span of the image column e_0
-    con = Contraction({1: {1: 1}}, [], [{0: F(1)}], [0], 1)
+    # (d_in, d_out, harmonic) of one degree, each breaking one invariant,
+    # and the message naming it
+    zero2 = [{}, {}]
+    bad = [
+        ([{0: 2}], [{}], [{0: F(1)}], "dependent"),  # in the image
+        ([], [{}], [{0: F(1)}, {0: F(2)}], "dependent"),  # on each other
+        # e_0 + e_1 is independent of e_0 but not of e_0 and e_1
+        ([{0: 1}, {1: 1}], zero2, [{0: F(1), 1: F(1)}], "dependent"),
+        ([], [{0: 1}, {}], [{0: F(1)}], "not a cocycle"),
+        ([{0: 1}], zero2, [], "columns for cohomology of rank 1"),  # too few
+    ]
+    for d_in, d_out, harmonic, match in bad:
+        with pytest.raises(ValueError, match=match):
+            Contraction(d_in, d_out, harmonic, 1)
+    # d_out o d_in != 0: the cycle e_1 is outside the span of d_in's e_0
+    con = Contraction([{0: 1}], [{0: 1}, {}], [], 1)
     with pytest.raises(ValueError):
         _split(con, {1: F(1)})
 

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product as iproduct
@@ -168,7 +169,7 @@ def _engine_at(kmask, n=1):
 
 def _engine_d_out(eng, key):
     return [{r: F(v, eng.scale) for r, v in col.items()}
-            for col in eng.outgoing(key)[2]]
+            for col in eng.columns(key)]
 
 
 def test_contraction_for_piece_identities():
@@ -207,6 +208,27 @@ def test_contraction_projects_exact_to_zero():
     for col in d_in:
         alpha, _ = _split(con, col)
         assert not any(alpha)
+
+
+def test_piece_rejects_corrupted_representative():
+    # a broken representative fails the contraction's checks, reported as
+    # an internal error naming the piece
+    eng, key, _, _ = _engine_at(0b011)
+    basis, _ = eng.basis(key)
+    below_key = (key[0], key[1] - eng.step)
+    not_cocycle = next(j for j, col in enumerate(eng.columns(key)) if col)
+    exact = next(col for col in eng.columns(below_key) if col)
+    corrupt = [
+        ({basis[not_cocycle]: 1}, "not a cocycle"),
+        ({}, "dependent"),
+        ({basis[r]: v for r, v in exact.items()}, "dependent"),
+    ]
+    for terms, reason in corrupt:
+        eng._pieces.clear()
+        eng._blocks[(0b011,)] = (terms, 1)
+        with pytest.raises(RuntimeError,
+                           match=re.escape(f"piece {key}: ") + ".*" + reason):
+            eng.piece(key)
 
 
 def test_engine_contraction_identities():
@@ -271,15 +293,15 @@ def _built_engine(cfg, arities):
 
 @pytest.mark.parametrize("cfg, arities, scale", BUILDS)
 def test_outgoing_columns_match_differential(cfg, arities, scale):
-    # every outgoing map the build touches holds D * d on ints, with D the
-    # lcm of the weights' denominators; differential() is the reference
+    # every map the build touches holds D * d on ints, with D the lcm of
+    # the weights' denominators; differential() is the reference
     eng = _built_engine(cfg, arities)
     assert eng.scale == scale
-    assert eng._outred
-    for key in eng._outred:
+    assert eng._columns
+    for key in eng._columns:
         basis, _ = eng.basis(key)
         _, tindex = eng.basis((key[0], key[1] + eng.step))
-        for mono, col in zip(basis, eng.outgoing(key)[2], strict=True):
+        for mono, col in zip(basis, eng.columns(key), strict=True):
             assert all(type(v) is int for v in col.values())
             image = differential(OperatorElement(cfg, {mono: F(1)}), cfg)
             assert {r: F(v, scale) for r, v in col.items()} == {
