@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from math import lcm
+from math import gcd, lcm
 
 from .lattice import (
     LatticeClass,
@@ -46,7 +46,6 @@ from .lattice import (
 from .linalg import Contraction, homology_ranks
 from .weyl import (
     MFConfig,
-    OperatorElement,
     bigraded_basis,
     delta_terms,
     differential_columns,
@@ -91,31 +90,52 @@ class CohomologyBasisChoice:
                 raise BadChoice(f"auxiliary index for {j} must differ from {j}")
 
     @classmethod
+    @lru_cache(maxsize=16)
     def default(cls, n):
-        """Smallest admissible partner: k(1) = 2 and k(j) = 1 otherwise."""
+        """Smallest admissible partner: k(1) = 2 and k(j) = 1 otherwise;
+        built once per n, not on every `minimal_mu(..., choice=None)`."""
         return cls(tuple(2 if j == 1 else 1 for j in range(1, n + 3)))
 
 
 def dbar(j, choice, cfg):
-    """Cocycle representative dtheta_j - a_j (W/(z_j z_k)) theta_k."""
+    """Cocycle representative dtheta_j - a_j (W/(z_j z_k)) theta_k.
+
+    Returned as content-reduced ({monomial: int}, den), den > 0: the
+    factor scaled by D = `delta_terms(cfg)[0]`, without zero terms.
+    """
     n2 = cfg.nvars
     if not 1 <= j <= n2:
         raise ValueError(f"index {j} out of range")
     k = choice.aux[j - 1]
     if k == j:
         raise BadChoice(f"auxiliary index for {j} must differ from {j}")
-    lead = OperatorElement.monomial(cfg, (0,) * n2, 0, 1 << (j - 1))
+    scale = delta_terms(cfg)[0]
     a = tuple(0 if i + 1 in (j, k) else 1 for i in range(n2))
-    tail = OperatorElement.monomial(cfg, a, 1 << (k - 1), 0).scale(cfg.a[j - 1])
-    return lead - tail
+    return _reduced({
+        ((0,) * n2, 0, 1 << (j - 1)): scale,
+        (a, 1 << (k - 1), 0): -int(cfg.a[j - 1] * scale),
+    }, scale)
 
 
 def dbar_product(kmask, choice, cfg):
-    """Ordered product of dbar_j over j in K ascending; 1 for K empty."""
-    out = OperatorElement.unit(cfg)
+    """Ordered product of dbar_j over j in K ascending; 1 for K empty.
+
+    Returned like `dbar`, as content-reduced ({monomial: int}, den).
+    """
+    terms, den = {((0,) * cfg.nvars, 0, 0): 1}, 1
     for j in elements(kmask):
-        out = out * dbar(j, choice, cfg)
-    return out
+        factor, fden = dbar(j, choice, cfg)
+        acc = {}
+        multiply_into(acc, 1, terms, factor)
+        terms, den = _reduced(acc, den * fden)
+    return terms, den
+
+
+def _reduced(terms, den):
+    """{monomial: int} / den without zero terms, divided by its content."""
+    terms = {m: c for m, c in terms.items() if c}
+    g = gcd(den, *terms.values())
+    return {m: c // g for m, c in terms.items()}, den // g
 
 
 class _Engine:
@@ -242,10 +262,7 @@ class _Engine:
         hit = self._blocks.get(masks)
         if hit is None:
             if len(masks) == 1:
-                rep = dbar_product(masks[0], self.choice, self.cfg).terms
-                den = lcm(*(c.denominator for c in rep.values()))
-                hit = ({m: c.numerator * (den // c.denominator)
-                        for m, c in rep.items()}, den)
+                hit = dbar_product(masks[0], self.choice, self.cfg)
             else:
                 lam, den = self.tree_sum(masks)
                 hit = _EMPTY

@@ -15,10 +15,11 @@ one lookup in a mask-keyed Clifford table (`clifford_product`, signs
     delta = sum_j  z_j dtheta_j + a_j (W / z_j) theta_j,
 
 whose square is W times the identity whenever the weights a_j sum to 1.
-Its terms are one table per configuration (`delta_terms`), scaled to
-integers by the lcm D of the denominators of the a_j; `delta` and
-`differential_columns`, which builds a piece's columns of D * d on
-integers without an `OperatorElement` per monomial, both read it.
+delta exists only as its table of terms (`delta_terms`, one per
+configuration), scaled to integers by the lcm D of the denominators of
+the a_j.  `differential_columns` reads it to build a piece's columns of
+D * d on integers; `scaled_differential` applies the same loop to one
+{monomial: int} element.
 
 Gradings: |z_j| = 2/(n+2), |theta_j| = -n/(n+2), |dtheta_j| = n/(n+2);
 the M-weight of z^a theta_S dtheta_T is the class of a + e_S - e_T and
@@ -27,6 +28,7 @@ its parity is |S| + |T| mod 2.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -35,15 +37,9 @@ from operator import add
 
 from .lattice import LatticeClass, elements, size
 
-ONE = Fraction(1)
-
 
 class BadConfig(ValueError):
     """Raised for an inconsistent factorization configuration."""
-
-
-class InhomogeneousParity(ValueError):
-    """Raised when an operation needs a parity homogeneous element."""
 
 
 @dataclass(frozen=True)
@@ -79,10 +75,6 @@ class MFConfig:
     @property
     def nvars(self):
         return self.n + 2
-
-
-def unit_monomial(cfg):
-    return ((0,) * cfg.nvars, 0, 0)
 
 
 def mono_parity(mono):
@@ -171,93 +163,6 @@ def multiply_into(acc, factor, left, right):
                 acc[key] = get(key, 0) + (c if sign > 0 else -c)
 
 
-class OperatorElement:
-    """A finite Q-linear combination of normal ordered monomials."""
-
-    __slots__ = ("cfg", "terms")
-
-    def __init__(self, cfg, terms=None):
-        self.cfg = cfg
-        self.terms = {}
-        if terms:
-            for mono, coef in terms.items():
-                coef = Fraction(coef)
-                if coef:
-                    self.terms[mono] = coef
-
-    @classmethod
-    def unit(cls, cfg):
-        return cls(cfg, {unit_monomial(cfg): ONE})
-
-    @classmethod
-    def monomial(cls, cfg, a, smask, tmask, coef=ONE):
-        return cls(cfg, {(tuple(a), smask, tmask): coef})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for mono, coef in other.terms.items():
-            _accumulate(out, mono, coef)
-        return OperatorElement(self.cfg, out)
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for mono, coef in other.terms.items():
-            _accumulate(out, mono, -coef)
-        return OperatorElement(self.cfg, out)
-
-    def scale(self, a):
-        a = Fraction(a)
-        if not a:
-            return OperatorElement(self.cfg)
-        return OperatorElement(self.cfg, {m: a * c for m, c in self.terms.items()})
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __mul__(self, other):
-        if not isinstance(other, OperatorElement):
-            return NotImplemented
-        out = {}
-        multiply_into(out, 1, self.terms, other.terms)
-        return OperatorElement(self.cfg, out)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, OperatorElement)
-            and self.cfg.n == other.cfg.n
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        raise TypeError("OperatorElement is not hashable")
-
-    def parity(self):
-        """Common parity of all terms; InhomogeneousParity when mixed."""
-        parities = {mono_parity(m) for m in self.terms}
-        if len(parities) > 1:
-            raise InhomogeneousParity("element mixes even and odd terms")
-        return parities.pop() if parities else 0
-
-    def sorted_terms(self):
-        def key(item):
-            (a, s, t), _ = item
-            return (a, elements(s), elements(t))
-
-        return sorted(self.terms.items(), key=key)
-
-    def __repr__(self):
-        if not self.terms:
-            return "OperatorElement(0)"
-        bits = []
-        for (a, s, t), coef in self.sorted_terms()[:6]:
-            bits.append(f"{coef}*z^{a}th{elements(s)}d{elements(t)}")
-        more = "..." if len(self.terms) > 6 else ""
-        return "OperatorElement(" + " + ".join(bits) + more + ")"
-
-
 @lru_cache(maxsize=16)
 def delta_terms(cfg):
     """delta's terms on integers: (D, ((shift, S, T, D * coefficient), ...)).
@@ -266,7 +171,7 @@ def delta_terms(cfg):
     weights).  Term j contributes z_j dtheta_j (shift e_j, coefficient 1)
     and a_j (W/z_j) theta_j (shift 1 - e_j); a monomial times a term is
     one `clifford_product` lookup with the shift added to its exponents.
-    `delta` and `differential_columns` both read this table.
+    `differential_columns` reads this table.
     """
     n2 = cfg.nvars
     scale = lcm(*(x.denominator for x in cfg.a))
@@ -283,39 +188,12 @@ def delta_terms(cfg):
     return scale, tuple(terms)
 
 
-@lru_cache(maxsize=16)
-def delta(cfg):
-    """The odd Koszul operator with delta^2 = W, one shared element per cfg.
-
-    Callers must not mutate its terms.
-    """
-    scale, terms = delta_terms(cfg)
-    return OperatorElement(
-        cfg, {(shift, s, t): Fraction(c, scale) for shift, s, t, c in terms}
-    )
-
-
-def w_element(cfg):
-    """W = z_1 ... z_(n+2) times the identity operator."""
-    return OperatorElement.monomial(cfg, (1,) * cfg.nvars, 0, 0)
-
-
-def differential(x, cfg):
-    """d(x) = delta x - (-1)^|x| x delta for parity homogeneous x."""
-    p = x.parity()
-    d = delta(cfg)
-    left = d * x
-    right = x * d
-    return left - right if p == 0 else left + right
-
-
 def differential_columns(basis, index, cfg):
     """Columns of D * d on the listed monomials, as {index[image]: int}.
 
     index maps the monomials of the target piece to row indices; D is
     `delta_terms(cfg)[0]`.  Each column is the graded commutator of the
-    monomial with delta's terms, summed on integers; it equals D times
-    `differential` of the monomial, which tests check.
+    monomial with delta's terms, summed on integers.
     """
     _, terms = delta_terms(cfg)
     cols = []
@@ -333,6 +211,22 @@ def differential_columns(basis, index, cfg):
                 col[r] = col.get(r, 0) + (c_right if sign > 0 else -c_right)
         cols.append({r: v for r, v in col.items() if v})
     return cols
+
+
+def scaled_differential(x, cfg):
+    """D * d(x) for x = {monomial: int}, as {monomial: int} without zeros.
+
+    Runs `differential_columns` on the monomials of x with an index that
+    gives each image monomial the next row on first lookup.
+    """
+    rows = defaultdict(lambda: len(rows))
+    cols = differential_columns(list(x), rows, cfg)
+    monos = list(rows)
+    out = {}
+    for c, col in zip(x.values(), cols):
+        for r, v in col.items():
+            out[monos[r]] = out.get(monos[r], 0) + c * v
+    return {m: v for m, v in out.items() if v}
 
 
 def bigraded_basis(wclass, qdeg, cfg):

@@ -1,6 +1,8 @@
 """Exit codes, determinism and report structure of the command line."""
 
+import hashlib
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -11,6 +13,18 @@ import pytest
 
 from koszulmf import cli
 from koszulmf.cli import main
+from koszulmf.weyl import delta_terms
+
+
+# child processes import the package from where this process found it,
+# whether from an install, PYTHONPATH or pytest's configured pythonpath
+_SRC = str(Path(cli.__file__).resolve().parents[1])
+
+
+def run_process(cmd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, env.get("PYTHONPATH"))))
+    return subprocess.run(cmd, capture_output=True, text=True, env=env)
 
 
 def run_cli(argv, capsys):
@@ -112,6 +126,32 @@ def test_mf_check_n1(capsys):
     assert res["delta_squared_is_w"] is True
     assert res["differential_squared_zero"] is True
     assert res["dims_by_subset_size"] == [1, 3, 3, 1]
+
+
+@pytest.mark.parametrize("n, digest", [
+    (1, "95a66b44d0059097271d020c5dd7554356d9b50038f5c22e5f2fc2650a8bbc68"),
+    (2, "e52f4a28a07f9ecb386e33e027592b56267ad094ea4fb377667c82f41939dc6e"),
+])
+def test_mf_check_report_digest(n, digest, capsys):
+    # the results of the default 200-sample report, as first recorded
+    code, out, _ = run_cli(["mf-check", "--n", str(n)], capsys)
+    assert code == 0
+    results = json.dumps(report(out)["results"], sort_keys=True)
+    assert hashlib.sha256(results.encode()).hexdigest() == digest
+
+
+def test_mf_check_fails_on_a_wrong_delta(capsys, monkeypatch):
+    # one sign flipped in the delta table mf-check squares
+    def flipped(cfg):
+        scale, table = delta_terms(cfg)
+        (shift, s, t, c), *rest = table
+        return scale, ((shift, s, t, -c), *rest)
+
+    monkeypatch.setattr(cli, "delta_terms", flipped)
+    code, out, err = run_cli(["mf-check", "--n", "1", "--samples", "20"], capsys)
+    assert code == 1
+    assert report(out)["results"]["delta_squared_is_w"] is False
+    assert "FAIL" in err
 
 
 def test_morse_and_coamoeba_and_pearl(capsys):
@@ -219,10 +259,8 @@ def test_rnc_report(capsys):
 @pytest.fixture(scope="module")
 def model_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "model_n1.json"
-    proc = subprocess.run(
-        [sys.executable, "-m", "koszulmf.cli", "minimal-model", "--n", "1"],
-        capture_output=True,
-        text=True,
+    proc = run_process(
+        [sys.executable, "-m", "koszulmf.cli", "minimal-model", "--n", "1"]
     )
     assert proc.returncode == 0
     path.write_text(proc.stdout)
@@ -305,11 +343,7 @@ def test_smash_dimensions(model_file, capsys):
 
 
 def _check_hkr_process(cmd):
-    proc = subprocess.run(
-        cmd + ["hkr", "--n", "1", "--r", "2", "--t", "-1"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_process(cmd + ["hkr", "--n", "1", "--r", "2", "--t", "-1"])
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["results"]["dim"] == 1
 

@@ -30,15 +30,16 @@ from koszulmf.minimal import (
 )
 from koszulmf.weyl import (
     MFConfig,
-    OperatorElement,
     bigraded_basis,
-    differential,
     mono_parity,
     mono_qdeg_num,
     mono_weight,
+    scaled_differential,
 )
+import operator_oracle as oracle
+from operator_oracle import OperatorElement, differential
 from test_linalg import (
-    _add, _identity, _int_vector, _split, assert_contraction_identities,
+    _add, _identity, _split, assert_contraction_identities,
     contraction_parts,
 )
 
@@ -78,10 +79,7 @@ def test_engine_cache_is_shared_and_bounded():
 def test_dbar_explicit_two_term():
     cfg = MFConfig(1)
     d1 = dbar(1, CohomologyBasisChoice.default(1), cfg)
-    assert d1.terms == {
-        ((0, 0, 0), 0, 0b001): F(1),
-        ((0, 0, 1), 0b010, 0): F(-1, 3),
-    }
+    assert d1 == ({((0, 0, 0), 0, 0b001): 3, ((0, 0, 1), 0b010, 0): -1}, 3)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -89,11 +87,11 @@ def test_dbar_is_cocycle_with_right_grading(n):
     cfg = MFConfig(n)
     choice = CohomologyBasisChoice.default(n)
     for j in range(1, n + 3):
-        d = dbar(j, choice, cfg)
-        assert differential(d, cfg).is_zero()
-        assert d.parity() == 1
+        terms, _ = dbar(j, choice, cfg)
+        assert scaled_differential(terms, cfg) == {}
         wref = LatticeClass(tuple(-1 if i == j - 1 else 0 for i in range(n + 2)))
-        for mono in d.terms:
+        for mono in terms:
+            assert mono_parity(mono) == 1
             assert mono_weight(mono, n) == wref
             assert mono_qdeg_num(mono, n) == n
 
@@ -101,10 +99,58 @@ def test_dbar_is_cocycle_with_right_grading(n):
 def test_dbar_product_trivial_and_full():
     cfg = MFConfig(1)
     choice = CohomologyBasisChoice.default(1)
-    assert dbar_product(0, choice, cfg) == OperatorElement.unit(cfg)
-    full = dbar_product(0b111, choice, cfg)
-    assert not full.is_zero()
-    assert ((0, 0, 0), 0, 0b111) in full.terms  # leading dtheta_1 dtheta_2 dtheta_3
+    assert dbar_product(0, choice, cfg) == ({((0, 0, 0), 0, 0): 1}, 1)
+    full, den = dbar_product(0b111, choice, cfg)
+    assert full and den > 0
+    assert ((0, 0, 0), 0, 0b111) in full  # leading dtheta_1 dtheta_2 dtheta_3
+
+
+DBAR_CONFIGS = [
+    MFConfig(1),
+    MFConfig(2),
+    MFConfig(3),
+    MFConfig(1, (F(1, 2), F(1, 3), F(1, 6))),
+    MFConfig(1, (F(1), F(-2), F(2))),
+    MFConfig(1, (F(1), F(0), F(0))),
+]
+
+
+@pytest.mark.parametrize("cfg", DBAR_CONFIGS)
+def test_dbar_product_matches_oracle(cfg):
+    # the integer product of D-scaled factors against the Fraction
+    # product of the dbar_j, on every mask
+    choice = CohomologyBasisChoice.default(cfg.n)
+    for kmask in range(1 << cfg.nvars):
+        terms, den = dbar_product(kmask, choice, cfg)
+        ref = oracle.dbar_product(kmask, choice, cfg)
+        assert {m: F(c, den) for m, c in terms.items()} == ref.terms, kmask
+        assert den > 0 and gcd(den, *terms.values()) == 1
+        assert all(type(c) is int for c in terms.values())
+
+
+def test_zero_weight_build():
+    # a_2 = a_3 = 0 drops the theta terms of dbar_2 and dbar_3
+    cfg = MFConfig(1, (F(1), F(0), F(0)))
+    model = build_minimal_model(cfg, arities=(2, 3))
+    assert [len(model.tables[k]) for k in (2, 3)] == [27, 27]
+
+
+def test_default_choice_is_resolved_once_per_n(monkeypatch):
+    cfg = MFConfig(1)
+    minimal_mu(2, (0b001, 0b010), cfg)
+    made = []
+    post_init = CohomologyBasisChoice.__post_init__
+
+    def counting(self):
+        made.append(self.aux)
+        post_init(self)
+
+    monkeypatch.setattr(CohomologyBasisChoice, "__post_init__", counting)
+    for _ in range(5):
+        minimal_mu(2, (0b001, 0b010), cfg)
+        minimal_mu(2, (0b010, 0b001), cfg, choice=None)
+    assert made == []
+    assert CohomologyBasisChoice.default(1) is _engine(cfg, None).choice
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -179,8 +225,8 @@ def test_contraction_for_piece_identities():
     assert con.nharm == 1
     # inject hits the chosen representative
     basis, index = eng.basis(key)
-    rep = dbar_product(0b001, choice, cfg)
-    rep_col = {index[m]: v for m, v in rep.terms.items()}
+    rep, den = dbar_product(0b001, choice, cfg)
+    rep_col = {index[m]: F(c, den) for m, c in rep.items()}
     below = (key[0], key[1] - eng.step)
     above = (key[0], key[1] + eng.step)
     i, p, h = contraction_parts(con, [rep_col], len(basis))
@@ -253,8 +299,8 @@ def test_engine_contraction_identities():
         harmonic = []
         if harm_mask is not None:
             _, index = eng.basis(key)
-            rep = dbar_product(harm_mask, choice, cfg)
-            harmonic.append({index[m]: c for m, c in rep.terms.items()})
+            rep, den = dbar_product(harm_mask, choice, cfg)
+            harmonic.append({index[m]: F(c, den) for m, c in rep.items()})
         return contraction_parts(con, harmonic, len(eng.basis(key)[0]))
 
     for key in sorted(keys):
@@ -267,8 +313,7 @@ def test_engine_contraction_identities():
         if key in exterior:
             kmask = exterior[key]
             assert eng.piece(key)[1] == kmask
-            rep = dbar_product(kmask, choice, cfg)
-            alpha, h, _ = eng.split(*_int_vector(rep.terms), key)
+            alpha, h, _ = eng.split(*dbar_product(kmask, choice, cfg), key)
             assert alpha == {kmask: F(1)}
             assert not h
 
@@ -294,7 +339,7 @@ def _built_engine(cfg, arities):
 @pytest.mark.parametrize("cfg, arities, scale", BUILDS)
 def test_outgoing_columns_match_differential(cfg, arities, scale):
     # every map the build touches holds D * d on ints, with D the lcm of
-    # the weights' denominators; differential() is the reference
+    # the weights' denominators; the oracle's differential is the reference
     eng = _built_engine(cfg, arities)
     assert eng.scale == scale
     assert eng._columns
@@ -322,16 +367,17 @@ def _reference_block(eng, masks, memo):
     """Lambda_k as an `OperatorElement`: the oracle for `_Engine.block`.
 
     The tree-sum recursion on `Fraction` coefficients that the engine ran
-    before its blocks became integer vectors: i(e_K) = dbar_K for one
-    mask, and above that H(lambda) = (-1)^{parity(lambda)} h(lambda),
-    with lambda the sum over the splits of
+    before its blocks became integer vectors: i(e_K) = dbar_K, the
+    oracle's `Fraction` product, for one mask, and above that
+    H(lambda) = (-1)^{parity(lambda)} h(lambda), with lambda the sum
+    over the splits of
     B2(Lambda(left), Lambda(right)) = (-1)^{parity(right)} left * right.
     Parities are read off the terms.  memo maps masks to blocks.
     """
     hit = memo.get(masks)
     if hit is None:
         if len(masks) == 1:
-            hit = dbar_product(masks[0], eng.choice, eng.cfg)
+            hit = oracle.dbar_product(masks[0], eng.choice, eng.cfg)
         else:
             lam = OperatorElement(eng.cfg)
             for cut in range(1, len(masks)):

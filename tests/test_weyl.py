@@ -7,16 +7,22 @@ import pytest
 from koszulmf.lattice import LatticeClass, elements, size
 from koszulmf.weyl import (
     BadConfig,
-    InhomogeneousParity,
     MFConfig,
-    OperatorElement,
     bigraded_basis,
     clifford_product,
-    delta,
-    differential,
+    delta_terms,
     mono_parity,
     mono_qdeg_num,
     mono_weight,
+    multiply_into,
+    scaled_differential,
+)
+from operator_oracle import (
+    InhomogeneousParity,
+    OperatorElement,
+    delta,
+    differential,
+    reference_multiply,
     w_element,
 )
 
@@ -50,9 +56,9 @@ def _act_monomial(mono, state):
     return sign, (tuple(ci + ai for ci, ai in zip(c, a)), x)
 
 
-def _act(element, state):
+def _act(terms, state):
     out = {}
-    for mono, coef in element.terms.items():
+    for mono, coef in terms.items():
         hit = _act_monomial(mono, state)
         if hit is None:
             continue
@@ -61,69 +67,27 @@ def _act(element, state):
     return {k: v for k, v in out.items() if v}
 
 
-# ---------------------------------------------------------------------------
-# Oracle: the generator-by-generator product that the mask-keyed Clifford
-# table replaced.  It applies the word of the left factor to the right one
-# generator at a time, right to left, with Fraction coefficients.
-
-def _insert_sign(mask, j):
-    return -1 if size(mask & ((1 << j) - 1)) & 1 else 1
+def _mul(left, right):
+    """left * right on {monomial: coef} dicts through `multiply_into`."""
+    acc = {}
+    multiply_into(acc, 1, left, right)
+    return {m: c for m, c in acc.items() if c}
 
 
-def _add_term(out, mono, coef):
-    cur = out.get(mono, F(0)) + coef
-    if cur:
-        out[mono] = cur
-    else:
-        out.pop(mono, None)
+def _composed(left, right, state):
+    """The action of left after right on one state of the module."""
+    composed = {}
+    for st, c in _act(right, state).items():
+        for st2, c2 in _act(left, st).items():
+            composed[st2] = composed.get(st2, F(0)) + c * c2
+    return {k: v for k, v in composed.items() if v}
 
 
-def _ref_apply_theta(j, coef, mono, out):
-    a, s, t = mono
-    if not s & (1 << j):
-        _add_term(out, (a, s | 1 << j, t), coef * _insert_sign(s, j))
-
-
-def _ref_push_dtheta(j, coef, mono, out):
-    a, s, t = mono
-    if not t & (1 << j):
-        _add_term(out, (a, s, t | 1 << j), coef * _insert_sign(t, j))
-
-
-def _ref_apply_dtheta(j, coef, mono, out):
-    a, s, t = mono
-    bit = 1 << j
-    if s & bit:
-        # dtheta_j theta_S = (-1)^pos theta_{S-j} + (-1)^{|S|} theta_S dtheta_j
-        _add_term(out, (a, s ^ bit, t), coef * _insert_sign(s, j))
-    pass_sign = -1 if size(s) & 1 else 1
-    _ref_push_dtheta(j, coef * pass_sign, mono, out)
-
-
-def _reference_multiply(m1, c1, m2, c2):
-    a1, s1, t1 = m1
-    terms = {m2: F(c1) * F(c2)}
-    for j in reversed(elements(t1)):
-        nxt = {}
-        for mono, coef in terms.items():
-            _ref_apply_dtheta(j - 1, coef, mono, nxt)
-        terms = nxt
-    for j in reversed(elements(s1)):
-        nxt = {}
-        for mono, coef in terms.items():
-            _ref_apply_theta(j - 1, coef, mono, nxt)
-        terms = nxt
-    return {
-        (tuple(x + y for x, y in zip(a, a1)), s, t): coef
-        for (a, s, t), coef in terms.items()
-    }
-
-
-def _product_terms(cfg, m1, c1, m2, c2):
-    """Terms of the product of two monomial `OperatorElement`s."""
-    e1 = OperatorElement(cfg, {m1: c1})
-    e2 = OperatorElement(cfg, {m2: c2})
-    return (e1 * e2).terms
+def _square(cfg):
+    """delta^2 on integers, from the program's table of delta's terms."""
+    _, table = delta_terms(cfg)
+    terms = {(shift, s, t): c for shift, s, t, c in table}
+    return _mul(terms, terms)
 
 
 def _random_monomial(rng, cfg, max_exp=2):
@@ -145,64 +109,43 @@ def test_config_defaults_and_validation():
 
 
 def test_dtheta_theta_relation():
-    cfg = MFConfig(1)
-    d1 = OperatorElement.monomial(cfg, (0, 0, 0), 0, 0b001)
-    th1 = OperatorElement.monomial(cfg, (0, 0, 0), 0b001, 0)
-    product = d1 * th1
-    expected = OperatorElement(
-        cfg,
-        {
-            ((0, 0, 0), 0, 0): F(1),
-            ((0, 0, 0), 0b001, 0b001): F(-1),
-        },
-    )
-    assert product == expected
+    d1 = {((0, 0, 0), 0, 0b001): 1}
+    th1 = {((0, 0, 0), 0b001, 0): 1}
+    product = _mul(d1, th1)
+    assert product == {
+        ((0, 0, 0), 0, 0): 1,
+        ((0, 0, 0), 0b001, 0b001): -1,
+    }
     # Same identity through the module action, on every state of Lambda.
     for x in range(8):
         state = ((0, 0, 0), x)
-        composed = {}
-        for st, c in _act(th1, state).items():
-            for st2, c2 in _act(d1, st).items():
-                composed[st2] = composed.get(st2, F(0)) + c * c2
-        composed = {k: v for k, v in composed.items() if v}
-        assert _act(product, state) == composed
+        assert _act(product, state) == _composed(d1, th1, state)
 
 
 def test_theta_anticommute():
-    cfg = MFConfig(1)
-    th1 = OperatorElement.monomial(cfg, (0, 0, 0), 0b001, 0)
-    th2 = OperatorElement.monomial(cfg, (0, 0, 0), 0b010, 0)
-    assert th2 * th1 == (th1 * th2).scale(-1)
-    assert (th1 * th1).is_zero()
+    th1 = {((0, 0, 0), 0b001, 0): 1}
+    th2 = {((0, 0, 0), 0b010, 0): 1}
+    assert _mul(th2, th1) == {m: -c for m, c in _mul(th1, th2).items()}
+    assert _mul(th1, th1) == {}
 
 
 def test_multiply_matches_module_action():
     cfg = MFConfig(2)
     rng = random.Random(20240817)
     for _ in range(120):
-        m1 = _random_monomial(rng, cfg)
-        m2 = _random_monomial(rng, cfg)
-        e1 = OperatorElement(cfg, {m1: F(1)})
-        e2 = OperatorElement(cfg, {m2: F(1)})
-        product = e1 * e2
+        e1 = {_random_monomial(rng, cfg): 1}
+        e2 = {_random_monomial(rng, cfg): 1}
+        product = _mul(e1, e2)
         state = (tuple(rng.randrange(2) for _ in range(4)), rng.randrange(16))
-        via_product = _act(product, state)
-        inner = _act(e2, state)
-        composed = {}
-        for st, c in inner.items():
-            for st2, c2 in _act(e1, st).items():
-                composed[st2] = composed.get(st2, F(0)) + c * c2
-        composed = {k: v for k, v in composed.items() if v}
-        assert via_product == composed
+        assert _act(product, state) == _composed(e1, e2, state)
 
 
 def test_multiply_matches_reference_on_all_n1_masks():
-    cfg = MFConfig(1)
     a1, a2 = (1, 0, 2), (0, 3, 1)
     c1, c2 = F(2, 3), F(-5, 7)
     for s1, t1, s2, t2 in product(range(8), repeat=4):
         m1, m2 = (a1, s1, t1), (a2, s2, t2)
-        assert _product_terms(cfg, m1, c1, m2, c2) == _reference_multiply(
+        assert _mul({m1: c1}, {m2: c2}) == reference_multiply(
             m1, c1, m2, c2
         )
 
@@ -216,26 +159,20 @@ def test_multiply_matches_reference_on_random_pairs(n):
         m2 = _random_monomial(rng, cfg)
         c1 = F(rng.randint(-9, 9) or 1, rng.randint(1, 5))
         c2 = F(rng.randint(-9, 9) or 1, rng.randint(1, 5))
-        assert _product_terms(cfg, m1, c1, m2, c2) == _reference_multiply(
+        assert _mul({m1: c1}, {m2: c2}) == reference_multiply(
             m1, c1, m2, c2
         )
 
 
 def test_multiply_matches_module_action_on_all_n1_masks():
-    cfg = MFConfig(1)
     a1, a2 = (0, 1, 0), (2, 0, 1)
     for s1, t1, s2, t2 in product(range(8), repeat=4):
-        e1 = OperatorElement.monomial(cfg, a1, s1, t1, F(3))
-        e2 = OperatorElement.monomial(cfg, a2, s2, t2, F(-1, 2))
-        prod = e1 * e2
+        e1 = {(a1, s1, t1): 3}
+        e2 = {(a2, s2, t2): F(-1, 2)}
+        prod = _mul(e1, e2)
         for x in range(8):
             state = ((1, 0, 0), x)
-            composed = {}
-            for st, c in _act(e2, state).items():
-                for st2, c2 in _act(e1, st).items():
-                    composed[st2] = composed.get(st2, F(0)) + c * c2
-            composed = {k: v for k, v in composed.items() if v}
-            assert _act(prod, state) == composed
+            assert _act(prod, state) == _composed(e1, e2, state)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -253,60 +190,64 @@ def test_multiply_associative():
     rng = random.Random(7)
     for _ in range(60):
         xs = [
-            OperatorElement(
-                cfg,
-                {
-                    _random_monomial(rng, cfg): F(rng.randint(-2, 2)),
-                    _random_monomial(rng, cfg): F(rng.randint(-2, 2)),
-                },
-            )
+            {
+                _random_monomial(rng, cfg): rng.randint(-2, 2),
+                _random_monomial(rng, cfg): rng.randint(-2, 2),
+            }
             for _ in range(3)
         ]
         x, y, z = xs
-        assert (x * y) * z == x * (y * z)
+        assert _mul(_mul(x, y), z) == _mul(x, _mul(y, z))
 
 
 def test_delta_terms_symmetric_weights():
     cfg = MFConfig(1)
-    d = delta(cfg)
-    expected = {
-        ((1, 0, 0), 0, 0b001): F(1),
-        ((0, 1, 0), 0, 0b010): F(1),
-        ((0, 0, 1), 0, 0b100): F(1),
-        ((0, 1, 1), 0b001, 0): F(1, 3),
-        ((1, 0, 1), 0b010, 0): F(1, 3),
-        ((1, 1, 0), 0b100, 0): F(1, 3),
+    scale, table = delta_terms(cfg)
+    assert scale == 3
+    assert table == (
+        ((1, 0, 0), 0, 0b001, 3),
+        ((0, 1, 1), 0b001, 0, 1),
+        ((0, 1, 0), 0, 0b010, 3),
+        ((1, 0, 1), 0b010, 0, 1),
+        ((0, 0, 1), 0, 0b100, 3),
+        ((1, 1, 0), 0b100, 0, 1),
+    )
+    # the oracle's delta, written from the formula, is the table over D
+    assert delta(cfg).terms == {
+        (shift, s, t): F(c, scale) for shift, s, t, c in table
     }
-    assert d.terms == expected
-    assert delta(MFConfig(1)) is d  # one shared element per configuration
+    assert delta_terms(MFConfig(1)) is delta_terms(cfg)  # one per configuration
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_delta_squares_to_w(n):
     cfg = MFConfig(n)
+    scale = delta_terms(cfg)[0]
+    assert _square(cfg) == {((1,) * (n + 2), 0, 0): scale * scale}
     d = delta(cfg)
     assert d * d == w_element(cfg)
 
 
 def test_delta_squares_to_w_asymmetric_weights():
-    cfg = MFConfig(1, a=(F(1), F(-2), F(2)))
-    d = delta(cfg)
-    assert d * d == w_element(cfg)
+    for a in ((F(1), F(-2), F(2)), (F(1), F(0), F(0)), (F(1, 2), F(1, 3), F(1, 6))):
+        cfg = MFConfig(1, a=a)
+        scale, table = delta_terms(cfg)
+        assert all(type(c) is int and c for *_, c in table)  # zero weights dropped
+        assert _square(cfg) == {((1, 1, 1), 0, 0): scale * scale}
+        d = delta(cfg)
+        assert d * d == w_element(cfg)
 
 
 def test_differential_generators():
     cfg = MFConfig(2)
+    scale = delta_terms(cfg)[0]
     for j in range(4):
-        th = OperatorElement.monomial(cfg, (0,) * 4, 1 << j, 0)
-        zj = OperatorElement.monomial(
-            cfg, tuple(1 if i == j else 0 for i in range(4)), 0, 0
-        )
-        assert differential(th, cfg) == zj
-        dth = OperatorElement.monomial(cfg, (0,) * 4, 0, 1 << j)
-        w_over = OperatorElement.monomial(
-            cfg, tuple(0 if i == j else 1 for i in range(4)), 0, 0
-        ).scale(cfg.a[j])
-        assert differential(dth, cfg) == w_over
+        th = ((0,) * 4, 1 << j, 0)
+        zj = (tuple(1 if i == j else 0 for i in range(4)), 0, 0)
+        assert scaled_differential({th: 1}, cfg) == {zj: scale}
+        dth = ((0,) * 4, 0, 1 << j)
+        w_over = (tuple(0 if i == j else 1 for i in range(4)), 0, 0)
+        assert scaled_differential({dth: 1}, cfg) == {w_over: cfg.a[j] * scale}
 
 
 def test_differential_squares_to_zero_on_random_elements():
@@ -315,11 +256,12 @@ def test_differential_squares_to_zero_on_random_elements():
         rng = random.Random(300 + n)
         for _ in range(40):
             mono = _random_monomial(rng, cfg)
-            x = OperatorElement(cfg, {mono: F(rng.randint(1, 3))})
-            assert differential(differential(x, cfg), cfg).is_zero()
+            x = {mono: rng.randint(1, 3)}
+            assert scaled_differential(scaled_differential(x, cfg), cfg) == {}
 
 
 def test_differential_rejects_mixed_parity():
+    # the oracle's d is the graded commutator of a homogeneous element
     cfg = MFConfig(1)
     mixed = OperatorElement.unit(cfg) + OperatorElement.monomial(
         cfg, (0, 0, 0), 0b001, 0
@@ -330,14 +272,18 @@ def test_differential_rejects_mixed_parity():
 
 def test_differential_is_bigraded():
     cfg = MFConfig(2)
+    scale = delta_terms(cfg)[0]
     rng = random.Random(99)
     n = cfg.n
     for _ in range(30):
         mono = _random_monomial(rng, cfg)
         w = mono_weight(mono, n)
         q = mono_qdeg_num(mono, n)
-        image = differential(OperatorElement(cfg, {mono: F(1)}), cfg)
-        for out_mono in image.terms:
+        image = scaled_differential({mono: 1}, cfg)
+        oracle = differential(OperatorElement(cfg, {mono: 1}), cfg)
+        assert image == {m: c * scale for m, c in oracle.terms.items()}
+        assert all(type(c) is int for c in image.values())
+        for out_mono in image:
             assert mono_weight(out_mono, n) == w
             assert mono_qdeg_num(out_mono, n) == q + (n + 2)
             assert mono_parity(out_mono) == 1 - mono_parity(mono)
