@@ -60,7 +60,13 @@ from .rnc import (
     projectively_equal,
     solve_nodes,
 )
-from .weyl import MFConfig, delta_terms, multiply_into, scaled_differential
+from .weyl import (
+    MFConfig,
+    delta_terms,
+    monomial,
+    multiply_into,
+    scaled_differential,
+)
 
 MODEL_SCHEMA = "koszulmf-model/1"
 
@@ -174,12 +180,23 @@ def _cmd_mf_check(args):
     cfg = MFConfig(args.n)
     n2 = cfg.nvars
     scale, table = delta_terms(cfg)
-    delta = {(shift, s, t): c for shift, s, t, c in table}
+    delta = dict(table)
     square = {}
-    multiply_into(square, 1, delta, delta)
+    multiply_into(square, 1, delta, delta, cfg)
     delta_ok = {m: c for m, c in square.items() if c} == {
-        ((1,) * n2, 0, 0): scale * scale
+        monomial((1,) * n2, 0, 0): scale * scale
     }
+
+    # D * d theta_j = D z_j and D * d dtheta_j = D a_j W/z_j
+    unit = (0,) * n2
+    gens_ok = True
+    for j in range(n2):
+        zj = tuple(int(i == j) for i in range(n2))
+        theta = scaled_differential({monomial(unit, 1 << j, 0): 1}, cfg)
+        dtheta = scaled_differential({monomial(unit, 0, 1 << j): 1}, cfg)
+        w_over_zj = monomial(tuple(1 - x for x in zj), 0, 0)
+        gens_ok = (gens_ok and theta == {monomial(zj, 0, 0): scale}
+                   and dtheta == {w_over_zj: int(cfg.a[j] * scale)})
 
     rng = random.Random(20240825)
     d2_ok = True
@@ -193,7 +210,7 @@ def _cmd_mf_check(args):
                 tmask = rng.randrange(1 << n2)
                 if (size(smask) + size(tmask)) % 2 == par:
                     break
-            terms[(a, smask, tmask)] = rng.choice([-3, -2, -1, 1, 2, 3])
+            terms[monomial(a, smask, tmask)] = rng.choice([-3, -2, -1, 1, 2, 3])
         if scaled_differential(scaled_differential(terms, cfg), cfg):
             d2_ok = False
 
@@ -209,9 +226,10 @@ def _cmd_mf_check(args):
         all_one = all_one and dim == 1
     expected = [comb(n2, r) for r in range(n2 + 1)]
 
-    ok = delta_ok and d2_ok and all_one and by_size == expected
+    ok = delta_ok and gens_ok and d2_ok and all_one and by_size == expected
     return {
         "delta_squared_is_w": delta_ok,
+        "differential_on_generators": gens_ok,
         "differential_squared_zero": d2_ok,
         "samples": args.samples,
         "piece_dims": pieces,

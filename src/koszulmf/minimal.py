@@ -49,6 +49,7 @@ from .weyl import (
     bigraded_basis,
     delta_terms,
     differential_columns,
+    monomial,
     multiply_into,
 )
 
@@ -112,8 +113,8 @@ def dbar(j, choice, cfg):
     scale = delta_terms(cfg)[0]
     a = tuple(0 if i + 1 in (j, k) else 1 for i in range(n2))
     return _reduced({
-        ((0,) * n2, 0, 1 << (j - 1)): scale,
-        (a, 1 << (k - 1), 0): -int(cfg.a[j - 1] * scale),
+        monomial((0,) * n2, 0, 1 << (j - 1)): scale,
+        monomial(a, 1 << (k - 1), 0): -int(cfg.a[j - 1] * scale),
     }, scale)
 
 
@@ -122,11 +123,11 @@ def dbar_product(kmask, choice, cfg):
 
     Returned like `dbar`, as content-reduced ({monomial: int}, den).
     """
-    terms, den = {((0,) * cfg.nvars, 0, 0): 1}, 1
+    terms, den = {monomial((0,) * cfg.nvars, 0, 0): 1}, 1
     for j in elements(kmask):
         factor, fden = dbar(j, choice, cfg)
         acc = {}
-        multiply_into(acc, 1, terms, factor)
+        multiply_into(acc, 1, terms, factor, cfg)
         terms, den = _reduced(acc, den * fden)
     return terms, den
 
@@ -299,7 +300,7 @@ class _Engine:
             f = den // pair_den
             if odd:  # B2(v, u) = (-1)^{parity(u)} v*u
                 f = -f
-            multiply_into(acc, f, left, right)
+            multiply_into(acc, f, left, right, self.cfg)
         return {m: c for m, c in acc.items() if c}, den
 
     def mu(self, masks):

@@ -1,9 +1,18 @@
-"""Fraction oracle for the integer operator path of `koszulmf`.
+"""Oracles for the packed integer operator path of `koszulmf`.
 
-The program computes with {monomial: int} dicts only (`multiply_into`,
-`delta_terms`, `differential_columns`, integer `dbar_product`).  This
-module keeps the operator algebra the tests check them against, written
-from the formulas and not from the program's tables:
+The program computes with {monomial: int} dicts keyed by packed ints
+only (`multiply_into`, `delta_terms`, `differential_columns`, integer
+`dbar_product`).  This module keeps what the tests check them against,
+on monomials as (a, S, T) tuples (`weyl.decode` turns one into the
+other; `packed` and `unpacked` convert whole dicts):
+
+  * the tuple-keyed loops the packed ones replaced: `multiply_into` over
+    a mask-keyed Clifford product, `differential_columns` with its fused
+    graded-commutator loop over `delta_terms`, and the `bigraded_basis`
+    enumeration over all (S, T) pairs followed by a sort;
+
+and the operator algebra, written from the formulas and not from the
+program's tables:
 
   * the generator-by-generator product that the mask-keyed Clifford
     table replaced (`reference_multiply`), applying the word of the left
@@ -18,11 +27,23 @@ from the formulas and not from the program's tables:
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import add
 
 from koszulmf.lattice import elements, size
-from koszulmf.weyl import mono_parity
+from koszulmf.weyl import decode, monomial
 
 F = Fraction
+
+
+def packed(terms):
+    """{(a, S, T): coef} -> {packed monomial: coef}."""
+    return {monomial(*m): c for m, c in terms.items()}
+
+
+def unpacked(terms, nvars):
+    """{packed monomial: coef} -> {(a, S, T): coef}, in the same order."""
+    return {decode(m, nvars): c for m, c in terms.items()}
 
 
 class InhomogeneousParity(ValueError):
@@ -77,6 +98,78 @@ def reference_multiply(m1, c1, m2, c2):
     }
 
 
+def multiply_into(acc, factor, left, right):
+    """acc += factor * left * right on tuple-keyed dicts; keeps zeros."""
+    get = acc.get
+    for (a1, s1, t1), c1 in left.items():
+        c1 *= factor
+        for (a2, s2, t2), c2 in right.items():
+            a = tuple(map(add, a1, a2))
+            c = c1 * c2
+            for s, t, sign in _reference_masks(s1, t1, s2, t2):
+                key = (a, s, t)
+                acc[key] = get(key, 0) + (c if sign > 0 else -c)
+
+
+@lru_cache(maxsize=16)
+def delta_terms(cfg):
+    """delta's terms as (D, ((shift, S, T, D * coefficient), ...))."""
+    scale = lcm(*(x.denominator for x in cfg.a))
+    return scale, tuple(
+        (a, s, t, int(c * scale)) for (a, s, t), c in delta(cfg).terms.items()
+    )
+
+
+def differential_columns(basis, index, cfg):
+    """Columns of D * d on tuple monomials, as {index[image]: int}."""
+    _, terms = delta_terms(cfg)
+    cols = []
+    for a, s, t in basis:
+        odd = (size(s) + size(t)) & 1
+        col = {}
+        for shift, ds, dt, c in terms:
+            b = tuple(map(add, a, shift))
+            for s2, t2, sign in _reference_masks(ds, dt, s, t):
+                r = index[(b, s2, t2)]
+                col[r] = col.get(r, 0) + (c if sign > 0 else -c)
+            c_right = c if odd else -c  # -(-1)^|x| x * term
+            for s2, t2, sign in _reference_masks(s, t, ds, dt):
+                r = index[(b, s2, t2)]
+                col[r] = col.get(r, 0) + (c_right if sign > 0 else -c_right)
+        cols.append({r: v for r, v in col.items() if v})
+    return cols
+
+
+def bigraded_basis(wclass, qdeg, cfg):
+    """The piece's tuple monomials, sorted on (a, S, T) with subsets
+    compared as ascending element tuples."""
+    n = cfg.n
+    n2 = cfg.nvars
+    qnum = Fraction(qdeg) * n2
+    assert qnum.denominator == 1
+    qnum = int(qnum)
+    wrep = wclass.rep
+    wsum = sum(wrep)
+    out = []
+    for s in range(1 << n2):
+        ssz = size(s)
+        for t in range(1 << n2):
+            tsz = size(t)
+            two_abs = qnum + n * ssz - n * tsz
+            if two_abs < 0 or two_abs % 2:
+                continue
+            m, rem = divmod(two_abs // 2 - (wsum - ssz + tsz), n2)
+            if rem:
+                continue
+            a = tuple(
+                wrep[i] - (s >> i & 1) + (t >> i & 1) + m for i in range(n2)
+            )
+            if min(a) >= 0:
+                out.append((a, s, t))
+    out.sort(key=lambda mono: (mono[0], elements(mono[1]), elements(mono[2])))
+    return out
+
+
 class OperatorElement:
     """A finite Q-linear combination of normal ordered monomials."""
 
@@ -126,7 +219,7 @@ class OperatorElement:
 
     def parity(self):
         """Common parity of all terms; InhomogeneousParity when mixed."""
-        parities = {mono_parity(m) for m in self.terms}
+        parities = {(size(s) + size(t)) & 1 for _, s, t in self.terms}
         if len(parities) > 1:
             raise InhomogeneousParity("element mixes even and odd terms")
         return parities.pop() if parities else 0

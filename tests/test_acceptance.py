@@ -66,7 +66,7 @@ from koszulmf.rnc import (
     projectively_equal,
     solve_nodes,
 )
-from koszulmf.weyl import MFConfig, delta_terms, scaled_differential
+from koszulmf.weyl import MFConfig, delta_terms, monomial, scaled_differential
 from test_minimal import table_digest
 from test_weyl import _square
 
@@ -92,7 +92,7 @@ def _random_homogeneous(rng, cfg):
             tmask = rng.randrange(1 << n2)
             if (size(smask) + size(tmask)) % 2 == par:
                 break
-        terms[(a, smask, tmask)] = rng.choice([-3, -2, -1, 1, 2, 3])
+        terms[monomial(a, smask, tmask)] = rng.choice([-3, -2, -1, 1, 2, 3])
     return terms
 
 

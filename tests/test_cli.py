@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from koszulmf import cli
+from koszulmf import cli, minimal, weyl
 from koszulmf.cli import main
 from koszulmf.weyl import delta_terms
 
@@ -124,13 +124,14 @@ def test_mf_check_n1(capsys):
     assert code == 0
     res = report(out)["results"]
     assert res["delta_squared_is_w"] is True
+    assert res["differential_on_generators"] is True
     assert res["differential_squared_zero"] is True
     assert res["dims_by_subset_size"] == [1, 3, 3, 1]
 
 
 @pytest.mark.parametrize("n, digest", [
-    (1, "95a66b44d0059097271d020c5dd7554356d9b50038f5c22e5f2fc2650a8bbc68"),
-    (2, "e52f4a28a07f9ecb386e33e027592b56267ad094ea4fb377667c82f41939dc6e"),
+    (1, "6f1be1263392d9d003cb1384e609e80811d8b09fa8fa4fa05b0b3eac2684bcba"),
+    (2, "4f684451d9170d634a669c758184e7e27eab2eea9ca468eeba3bef98fe94c391"),
 ])
 def test_mf_check_report_digest(n, digest, capsys):
     # the results of the default 200-sample report, as first recorded
@@ -144,13 +145,47 @@ def test_mf_check_fails_on_a_wrong_delta(capsys, monkeypatch):
     # one sign flipped in the delta table mf-check squares
     def flipped(cfg):
         scale, table = delta_terms(cfg)
-        (shift, s, t, c), *rest = table
-        return scale, ((shift, s, t, -c), *rest)
+        (mono, c), *rest = table
+        return scale, ((mono, -c), *rest)
 
     monkeypatch.setattr(cli, "delta_terms", flipped)
     code, out, err = run_cli(["mf-check", "--n", "1", "--samples", "20"], capsys)
     assert code == 1
     assert report(out)["results"]["delta_squared_is_w"] is False
+    assert "FAIL" in err
+
+
+@pytest.fixture
+def fresh_tables():
+    """Empty commutator tables and engines before and after the test."""
+    def clear():
+        weyl.commutator_table.cache_clear()
+        minimal._cached_engine.cache_clear()
+
+    clear()
+    yield
+    clear()
+
+
+def test_mf_check_fails_on_a_flipped_commutator_sign(capsys, monkeypatch,
+                                                     fresh_tables):
+    # D * (delta x + (-1)^|x| x delta): the right-hand term of the graded
+    # commutator with the wrong sign still squares to zero, so only the
+    # check on the generators sees it
+    def flipped(low, cfg):
+        delta = dict(delta_terms(cfg)[1])
+        out = {}
+        weyl.multiply_into(out, 1, delta, {low: 1}, cfg)
+        right_sign = -1 if weyl.mono_parity(low, cfg.n) else 1
+        weyl.multiply_into(out, right_sign, {low: 1}, delta, cfg)
+        return tuple((m - low, c) for m, c in out.items() if c)
+
+    monkeypatch.setattr(weyl, "_commutator", flipped)
+    code, out, err = run_cli(["mf-check", "--n", "1", "--samples", "20"], capsys)
+    assert code == 1
+    res = report(out)["results"]
+    assert res["differential_on_generators"] is False
+    assert res["pass"] is False
     assert "FAIL" in err
 
 

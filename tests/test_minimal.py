@@ -31,13 +31,15 @@ from koszulmf.minimal import (
 from koszulmf.weyl import (
     MFConfig,
     bigraded_basis,
+    decode,
     mono_parity,
     mono_qdeg_num,
     mono_weight,
+    monomial,
     scaled_differential,
 )
 import operator_oracle as oracle
-from operator_oracle import OperatorElement, differential
+from operator_oracle import OperatorElement, differential, unpacked
 from test_linalg import (
     _add, _identity, _split, assert_contraction_identities,
     contraction_parts,
@@ -78,8 +80,10 @@ def test_engine_cache_is_shared_and_bounded():
 
 def test_dbar_explicit_two_term():
     cfg = MFConfig(1)
-    d1 = dbar(1, CohomologyBasisChoice.default(1), cfg)
-    assert d1 == ({((0, 0, 0), 0, 0b001): 3, ((0, 0, 1), 0b010, 0): -1}, 3)
+    terms, den = dbar(1, CohomologyBasisChoice.default(1), cfg)
+    assert (unpacked(terms, 3), den) == (
+        {((0, 0, 0), 0, 0b001): 3, ((0, 0, 1), 0b010, 0): -1}, 3
+    )
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -91,7 +95,7 @@ def test_dbar_is_cocycle_with_right_grading(n):
         assert scaled_differential(terms, cfg) == {}
         wref = LatticeClass(tuple(-1 if i == j - 1 else 0 for i in range(n + 2)))
         for mono in terms:
-            assert mono_parity(mono) == 1
+            assert mono_parity(mono, n) == 1
             assert mono_weight(mono, n) == wref
             assert mono_qdeg_num(mono, n) == n
 
@@ -99,10 +103,11 @@ def test_dbar_is_cocycle_with_right_grading(n):
 def test_dbar_product_trivial_and_full():
     cfg = MFConfig(1)
     choice = CohomologyBasisChoice.default(1)
-    assert dbar_product(0, choice, cfg) == ({((0, 0, 0), 0, 0): 1}, 1)
+    assert dbar_product(0, choice, cfg) == ({monomial((0, 0, 0), 0, 0): 1}, 1)
     full, den = dbar_product(0b111, choice, cfg)
     assert full and den > 0
-    assert ((0, 0, 0), 0, 0b111) in full  # leading dtheta_1 dtheta_2 dtheta_3
+    # leading dtheta_1 dtheta_2 dtheta_3
+    assert monomial((0, 0, 0), 0, 0b111) in full
 
 
 DBAR_CONFIGS = [
@@ -123,7 +128,8 @@ def test_dbar_product_matches_oracle(cfg):
     for kmask in range(1 << cfg.nvars):
         terms, den = dbar_product(kmask, choice, cfg)
         ref = oracle.dbar_product(kmask, choice, cfg)
-        assert {m: F(c, den) for m, c in terms.items()} == ref.terms, kmask
+        assert {decode(m, cfg.nvars): F(c, den)
+                for m, c in terms.items()} == ref.terms, kmask
         assert den > 0 and gcd(den, *terms.values()) == 1
         assert all(type(c) is int for c in terms.values())
 
@@ -198,8 +204,10 @@ def test_cohomology_dim_against_homology_ranks():
             index = {m: i for i, m in enumerate(bases[dst])}
             cols = []
             for mono in bases[src]:
-                img = differential(OperatorElement(cfg, {mono: F(1)}), cfg)
-                cols.append({index[m]: c for m, c in img.terms.items()})
+                img = differential(
+                    OperatorElement(cfg, {decode(mono, n + 2): F(1)}), cfg
+                )
+                cols.append({index[monomial(*m)]: c for m, c in img.terms.items()})
             maps.append(cols)
         dims = [len(b) for b in bases]
         assert homology_ranks(dims, maps)[1] == cohomology_dim(w, q, cfg)
@@ -348,19 +356,56 @@ def test_outgoing_columns_match_differential(cfg, arities, scale):
         _, tindex = eng.basis((key[0], key[1] + eng.step))
         for mono, col in zip(basis, eng.columns(key), strict=True):
             assert all(type(v) is int for v in col.values())
-            image = differential(OperatorElement(cfg, {mono: F(1)}), cfg)
+            image = differential(
+                OperatorElement(cfg, {decode(mono, cfg.nvars): F(1)}), cfg
+            )
             assert {r: F(v, scale) for r, v in col.items()} == {
-                tindex[m]: c for m, c in image.terms.items()
+                tindex[monomial(*m)]: c for m, c in image.terms.items()
             }
+
+
+@pytest.mark.parametrize("cfg, arities, scale", BUILDS)
+def test_columns_match_tuple_oracle(cfg, arities, scale):
+    # every column set the build made, against the fused tuple-keyed
+    # loop the commutator table replaced: same rows, values and order
+    eng = _built_engine(cfg, arities)
+    n2 = cfg.nvars
+    for key in eng._columns:
+        basis, _ = eng.basis(key)
+        above, _ = eng.basis((key[0], key[1] + eng.step))
+        tindex = {decode(m, n2): i for i, m in enumerate(above)}
+        want = oracle.differential_columns(
+            [decode(m, n2) for m in basis], tindex, cfg
+        )
+        got = eng.columns(key)
+        assert [list(col.items()) for col in got] == [
+            list(col.items()) for col in want
+        ], key
+
+
+@pytest.mark.parametrize("cfg, arities, scale", BUILDS)
+def test_bases_match_tuple_oracle(cfg, arities, scale):
+    # every basis the build made, decoded, in the documented order of the
+    # enumeration it replaced
+    eng = _built_engine(cfg, arities)
+    assert eng._bases
+    for (wrep, qnum), (basis, index) in eng._bases.items():
+        decoded = [decode(m, cfg.nvars) for m in basis]
+        assert decoded == oracle.bigraded_basis(
+            LatticeClass(wrep), F(qnum, cfg.nvars), cfg
+        ), (wrep, qnum)
+        assert index == {m: i for i, m in enumerate(basis)}
 
 
 def _reference_h(eng, x, key):
     """h(x) of the `OperatorElement` x in the piece key, one degree down."""
     con, _ = eng.piece(key)
     _, index = eng.basis(key)
-    _, pre = _split(con, {index[m]: c for m, c in x.terms.items()})
+    _, pre = _split(con, {index[monomial(*m)]: c for m, c in x.terms.items()})
     below, _ = eng.basis((key[0], key[1] - eng.step))
-    return OperatorElement(eng.cfg, {below[src]: c for src, c in pre.items()})
+    return OperatorElement(
+        eng.cfg, {decode(below[src], eng.step): c for src, c in pre.items()}
+    )
 
 
 def _reference_block(eng, masks, memo):
@@ -404,11 +449,12 @@ def test_blocks_match_reference(cfg, arities, scale):
     memo = {}
     for masks, (terms, den) in eng._blocks.items():
         ref = _reference_block(eng, masks, memo)
-        assert {m: F(c, den) for m, c in terms.items()} == ref.terms, masks
+        assert {decode(m, cfg.nvars): F(c, den)
+                for m, c in terms.items()} == ref.terms, masks
         assert den > 0 and gcd(den, *terms.values()) == 1
         assert all(type(c) is int for c in terms.values())
         parity = (sum(map(size, masks)) + len(masks) - 1) % 2
-        assert all(mono_parity(m) == parity for m in terms)
+        assert all(mono_parity(m, cfg.n) == parity for m in terms)
 
 
 def test_mu2_on_generators():

@@ -6,23 +6,29 @@ import pytest
 
 from koszulmf.lattice import LatticeClass, elements, size
 from koszulmf.weyl import (
+    FIELD_MAX,
     BadConfig,
     MFConfig,
     bigraded_basis,
     clifford_product,
+    decode,
     delta_terms,
     mono_parity,
     mono_qdeg_num,
     mono_weight,
+    monomial,
     multiply_into,
     scaled_differential,
 )
+import operator_oracle as oracle
 from operator_oracle import (
     InhomogeneousParity,
     OperatorElement,
     delta,
     differential,
+    packed,
     reference_multiply,
+    unpacked,
     w_element,
 )
 
@@ -68,10 +74,13 @@ def _act(terms, state):
 
 
 def _mul(left, right):
-    """left * right on {monomial: coef} dicts through `multiply_into`."""
+    """left * right on {(a, S, T): coef} dicts through `multiply_into`."""
+    if not left or not right:
+        return {}
+    n2 = len(next(iter(left))[0])
     acc = {}
-    multiply_into(acc, 1, left, right)
-    return {m: c for m, c in acc.items() if c}
+    multiply_into(acc, 1, packed(left), packed(right), MFConfig(n2 - 2))
+    return {m: c for m, c in unpacked(acc, n2).items() if c}
 
 
 def _composed(left, right, state):
@@ -86,7 +95,7 @@ def _composed(left, right, state):
 def _square(cfg):
     """delta^2 on integers, from the program's table of delta's terms."""
     _, table = delta_terms(cfg)
-    terms = {(shift, s, t): c for shift, s, t, c in table}
+    terms = unpacked(dict(table), cfg.nvars)
     return _mul(terms, terms)
 
 
@@ -177,12 +186,63 @@ def test_multiply_matches_module_action_on_all_n1_masks():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_clifford_product_terms_are_distinct_signs(n):
-    # every mask quadruple; __wrapped__ keeps the shared table untouched
-    table = clifford_product.__wrapped__
-    for s1, t1, s2, t2 in product(range(1 << (n + 2)), repeat=4):
-        terms = table(s1, t1, s2, t2)
-        assert all(sign in (1, -1) for _, _, sign in terms)
-        assert len({(s, t) for s, t, _ in terms}) == len(terms)
+    # every mask quadruple, on the low parts S << N | T
+    n2 = n + 2
+    for s1, t1, s2, t2 in product(range(1 << n2), repeat=4):
+        terms = clifford_product(s1 << n2 | t1, s2 << n2 | t2, n2)
+        assert all(sign in (1, -1) for _, sign in terms)
+        assert len({low for low, _ in terms}) == len(terms)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_clifford_product_matches_generator_expansion(n):
+    # the closed form against the generator-by-generator expansion, on
+    # every mask quadruple: same terms, signs and order
+    n2 = n + 2
+    for s1, t1, s2, t2 in product(range(1 << n2), repeat=4):
+        want = tuple(
+            (s << n2 | t, sign)
+            for s, t, sign in oracle._reference_masks(s1, t1, s2, t2)
+        )
+        assert clifford_product(s1 << n2 | t1, s2 << n2 | t2, n2) == want
+
+
+def _packed_product(left, right, factor, cfg):
+    """factor * left * right through `multiply_into`, zeros kept, decoded."""
+    acc = {}
+    multiply_into(acc, factor, packed(left), packed(right), cfg)
+    return unpacked(acc, cfg.nvars)
+
+
+def _oracle_product(left, right, factor):
+    acc = {}
+    oracle.multiply_into(acc, factor, left, right)
+    return acc
+
+
+def test_packed_product_matches_tuple_oracle_on_all_n1_pairs():
+    # every (S, T) pair of either factor, with zeros and term order kept
+    cfg = MFConfig(1)
+    for s1, t1, s2, t2 in product(range(8), repeat=4):
+        left = {((1, 0, 2), s1, t1): 3, ((0, 2, 0), s1 ^ 1, t1): -2}
+        right = {((0, 3, 1), s2, t2): 5}
+        want = _oracle_product(left, right, -7)
+        got = _packed_product(left, right, -7, cfg)
+        assert list(got.items()) == list(want.items())
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_packed_product_matches_tuple_oracle_on_random_pairs(n):
+    cfg = MFConfig(n)
+    rng = random.Random(5200 + n)
+    for _ in range(300):
+        left = {_random_monomial(rng, cfg): rng.randint(-9, 9)
+                for _ in range(rng.randint(1, 4))}
+        right = {_random_monomial(rng, cfg): rng.randint(-9, 9)
+                 for _ in range(rng.randint(1, 4))}
+        want = _oracle_product(left, right, 2)
+        got = _packed_product(left, right, 2, cfg)
+        assert list(got.items()) == list(want.items())
 
 
 def test_multiply_associative():
@@ -204,7 +264,7 @@ def test_delta_terms_symmetric_weights():
     cfg = MFConfig(1)
     scale, table = delta_terms(cfg)
     assert scale == 3
-    assert table == (
+    assert tuple((*decode(m, 3), c) for m, c in table) == (
         ((1, 0, 0), 0, 0b001, 3),
         ((0, 1, 1), 0b001, 0, 1),
         ((0, 1, 0), 0, 0b010, 3),
@@ -214,7 +274,7 @@ def test_delta_terms_symmetric_weights():
     )
     # the oracle's delta, written from the formula, is the table over D
     assert delta(cfg).terms == {
-        (shift, s, t): F(c, scale) for shift, s, t, c in table
+        decode(m, 3): F(c, scale) for m, c in table
     }
     assert delta_terms(MFConfig(1)) is delta_terms(cfg)  # one per configuration
 
@@ -242,11 +302,11 @@ def test_differential_generators():
     cfg = MFConfig(2)
     scale = delta_terms(cfg)[0]
     for j in range(4):
-        th = ((0,) * 4, 1 << j, 0)
-        zj = (tuple(1 if i == j else 0 for i in range(4)), 0, 0)
+        th = monomial((0,) * 4, 1 << j, 0)
+        zj = monomial(tuple(1 if i == j else 0 for i in range(4)), 0, 0)
         assert scaled_differential({th: 1}, cfg) == {zj: scale}
-        dth = ((0,) * 4, 0, 1 << j)
-        w_over = (tuple(0 if i == j else 1 for i in range(4)), 0, 0)
+        dth = monomial((0,) * 4, 0, 1 << j)
+        w_over = monomial(tuple(0 if i == j else 1 for i in range(4)), 0, 0)
         assert scaled_differential({dth: 1}, cfg) == {w_over: cfg.a[j] * scale}
 
 
@@ -256,7 +316,7 @@ def test_differential_squares_to_zero_on_random_elements():
         rng = random.Random(300 + n)
         for _ in range(40):
             mono = _random_monomial(rng, cfg)
-            x = {mono: rng.randint(1, 3)}
+            x = {monomial(*mono): rng.randint(1, 3)}
             assert scaled_differential(scaled_differential(x, cfg), cfg) == {}
 
 
@@ -277,16 +337,17 @@ def test_differential_is_bigraded():
     n = cfg.n
     for _ in range(30):
         mono = _random_monomial(rng, cfg)
-        w = mono_weight(mono, n)
-        q = mono_qdeg_num(mono, n)
-        image = scaled_differential({mono: 1}, cfg)
-        oracle = differential(OperatorElement(cfg, {mono: 1}), cfg)
-        assert image == {m: c * scale for m, c in oracle.terms.items()}
+        m = monomial(*mono)
+        w = mono_weight(m, n)
+        q = mono_qdeg_num(m, n)
+        image = scaled_differential({m: 1}, cfg)
+        ref = differential(OperatorElement(cfg, {mono: 1}), cfg)
+        assert unpacked(image, 4) == {m: c * scale for m, c in ref.terms.items()}
         assert all(type(c) is int for c in image.values())
         for out_mono in image:
             assert mono_weight(out_mono, n) == w
             assert mono_qdeg_num(out_mono, n) == q + (n + 2)
-            assert mono_parity(out_mono) == 1 - mono_parity(mono)
+            assert mono_parity(out_mono, n) == 1 - mono_parity(m, n)
 
 
 def _brute_piece(wcls, qnum, n, bound):
@@ -299,15 +360,19 @@ def _brute_piece(wcls, qnum, n, bound):
     for a in iproduct(range(bound + 1), repeat=n2):
         for s in range(1 << n2):
             for t in range(1 << n2):
-                m = (a, s, t)
+                m = monomial(a, s, t)
                 if mono_weight(m, n) == wcls and mono_qdeg_num(m, n) == qnum:
-                    out.add(m)
+                    out.add((a, s, t))
     return out
+
+
+def _decoded_basis(wclass, qdeg, cfg):
+    return [decode(m, cfg.nvars) for m in bigraded_basis(wclass, qdeg, cfg)]
 
 
 def test_bigraded_basis_generator_piece():
     cfg = MFConfig(1)
-    basis = bigraded_basis(LatticeClass((-1, 0, 0)), F(1, 3), cfg)
+    basis = _decoded_basis(LatticeClass((-1, 0, 0)), F(1, 3), cfg)
     assert set(basis) == _brute_piece(LatticeClass((-1, 0, 0)), 1, 1, 3)
     assert len(basis) == 14
     # the cocycle representing the generator is built from these three
@@ -320,7 +385,7 @@ def test_bigraded_basis_generator_piece():
 @pytest.mark.parametrize("n", [1, 2])
 def test_bigraded_basis_generator_piece_contents(n):
     cfg = MFConfig(n)
-    basis = bigraded_basis(
+    basis = _decoded_basis(
         LatticeClass((-1,) + (0,) * (n + 1)), F(n, n + 2), cfg
     )
     assert ((0,) * (n + 2), 0, 0b001) in basis  # dtheta_1
@@ -331,7 +396,7 @@ def test_bigraded_basis_generator_piece_contents(n):
 
 def test_bigraded_basis_degree_zero_piece():
     cfg = MFConfig(1)
-    basis = bigraded_basis(LatticeClass((0, 0, 0)), F(0), cfg)
+    basis = _decoded_basis(LatticeClass((0, 0, 0)), F(0), cfg)
     assert set(basis) == _brute_piece(LatticeClass((0, 0, 0)), 0, 1, 3)
     assert ((0, 0, 0), 0, 0) in basis
     for j in range(3):
@@ -349,12 +414,53 @@ def test_bigraded_basis_membership_is_exact():
     rng = random.Random(5)
     for _ in range(25):
         mono = _random_monomial(rng, cfg)
-        w = mono_weight(mono, cfg.n)
-        q = F(mono_qdeg_num(mono, cfg.n), cfg.n + 2)
-        assert mono in bigraded_basis(w, q, cfg)
+        w = mono_weight(monomial(*mono), cfg.n)
+        q = F(mono_qdeg_num(monomial(*mono), cfg.n), cfg.n + 2)
+        assert mono in _decoded_basis(w, q, cfg)
 
 
 def test_bigraded_basis_rejects_bad_degree():
     cfg = MFConfig(1)
     with pytest.raises(ValueError):
         bigraded_basis(LatticeClass((0, 0, 0)), F(1, 2), cfg)
+
+
+def test_bigraded_basis_rejects_exponent_overflow():
+    # weight 0, degree 2m at n=1: the pairs with |S| = |T| sit on
+    # m(1, 1, 1) and reach m + 1, those with |S| - |T| = 2 reach m + 1
+    cfg = MFConfig(1)
+    w = LatticeClass((0, 0, 0))
+    fits = bigraded_basis(w, F(2 * (FIELD_MAX - 1)), cfg)
+    assert [decode(m, 3) for m in fits] == oracle.bigraded_basis(
+        w, F(2 * (FIELD_MAX - 1)), cfg
+    )
+    assert max(max(decode(m, 3)[0]) for m in fits) == FIELD_MAX
+    beyond = oracle.bigraded_basis(w, F(2 * FIELD_MAX), cfg)
+    assert max(max(a) for a, _, _ in beyond) == FIELD_MAX + 1
+    with pytest.raises(ValueError):
+        bigraded_basis(w, F(2 * FIELD_MAX), cfg)
+    with pytest.raises(ValueError):
+        monomial((0, FIELD_MAX + 1, 0), 0, 0)
+    # a product whose exponent overflows carries into the field above,
+    # which moves it to another weight class than the true product's
+    low, high = 100, FIELD_MAX + 1 - 100 + 44
+    acc = {}
+    multiply_into(acc, 1, {monomial((0, low, 0), 0, 0): 1},
+                  {monomial((0, high, 0), 0, 0): 1}, cfg)
+    (carried,) = acc
+    assert decode(carried, 3) == ((1, 44, 0), 0, 0)
+    assert mono_weight(carried, 1) != LatticeClass((0, low + high, 0))
+    with pytest.raises(ValueError):
+        monomial((0, -1, 0), 0, 0)
+
+
+def test_monomial_layout_round_trips():
+    # a_1 most significant, then S, then T in the low 2N bits
+    assert monomial((1, 0, 0), 0b010, 0b100) == (1 << 16 + 6) | 0b010100
+    assert monomial((0, 0, 0), 0, 0) == 0
+    rng = random.Random(12)
+    for n in (1, 2, 3):
+        cfg = MFConfig(n)
+        for _ in range(50):
+            mono = _random_monomial(rng, cfg, max_exp=FIELD_MAX)
+            assert decode(monomial(*mono), cfg.nvars) == mono
