@@ -179,42 +179,72 @@ def _splitter(alg):
 
 
 def _joined_terms(alg, max_arity, split, modulus):
-    """((arity, tuple, output, exponent), scaled magnitude) for every
-    nonzero term of every identity up to max_arity, from joining stored
-    entries.
+    """(leading label, totals) for every group of identities up to
+    max_arity, one group at a time.
 
-    Outer entries are indexed by (slot label, outer arity).  An inner
-    entry of arity k_in visits only the outer arities k_out with
-    k_out + k_in - 1 <= max_arity, so every visited pair is a term; a
-    table with k_out + k_min - 1 > max_arity, k_min the smallest arity
-    with a nonzero entry, is never indexed.  The tail sign is folded
-    into the indexed magnitude.
+    A group holds the identities whose input tuple starts with one label.
+    Its totals map (arity, tuple, output, exponent) to the summed scaled
+    magnitude of the group's terms, zero sums included.  A term
+    mu^k_out(..., mu^k_in(inner), ...) with the inner product in slot p
+    belongs to the group of the outer entry's first input when p >= 1,
+    and to the group of inner[0] when p == 0.
+
+    Outer slots with p >= 1 are indexed by (leading label, slot label,
+    outer arity), slots with p == 0 by (slot label, outer arity).  Inner
+    entries are indexed by (output, arity), and the same records by
+    leading label, so a group visits only its own pairs.  Only arities k
+    with k + k_min - 1 <= max_arity are indexed, k_min the smallest arity
+    with a nonzero entry, and only pairs whose composed arity is at most
+    max_arity are visited, so every visited pair is a term.  The tail
+    sign is folded into the indexed magnitude.  Groups come in the order
+    their labels first lead an entry, so labels missing from alg.basis
+    get their groups too.
     """
     arities = sorted(k for k, table in alg.ops.items() if any(table.values()))
     k_min = min(arities, default=0)
-    outer = [k for k in arities if k + k_min - 1 <= max_arity]
-    index = {}
-    for k_out in outer:
-        for (out, ins), c_out in alg.ops[k_out].items():
-            if not c_out:
+    used = [k for k in arities if k + k_min - 1 <= max_arity]
+    tails = {}   # lead -> {(slot label, k_out): [(out, ins, p, signed, exp)]}
+    heads = {}   # (slot label, k_out) -> [(out, ins, signed, exp)]
+    by_out = {}  # (output, k_in) -> [(inner, mag, exp)]
+    leads = {}   # lead -> {(output, k_in): the same records}
+    for k in used:
+        for (out, ins), coef in alg.ops[k].items():
+            if not coef:
                 continue
-            mag, exp = split(c_out)
-            for p, label in enumerate(ins):
-                signed = _tail_sign(alg.zdeg, ins[p + 1:]) * mag
-                index.setdefault((label, k_out), []).append((out, ins, p, signed, exp))
-    for k_in in arities:
-        reach = [k for k in outer if k + k_in - 1 <= max_arity]
-        if not reach:
-            continue
-        for (mid, inner), c_in in alg.ops[k_in].items():
-            if not c_in:
-                continue
-            mag_in, exp_in = split(c_in)
-            for k_out in reach:
+            mag, exp = split(coef)
+            rec = (ins, mag, exp)
+            by_out.setdefault((out, k), []).append(rec)
+            leads.setdefault(ins[0], {}).setdefault((out, k), []).append(rec)
+            heads.setdefault((ins[0], k), []).append(
+                (out, ins, _tail_sign(alg.zdeg, ins[1:]) * mag, exp)
+            )
+            if k > 1:
+                tail = tails.setdefault(ins[0], {})
+                for p in range(1, k):
+                    signed = _tail_sign(alg.zdeg, ins[p + 1:]) * mag
+                    tail.setdefault((ins[p], k), []).append((out, ins, p, signed, exp))
+    for lead, inners in leads.items():
+        totals = defaultdict(int)
+        for (label, k_out), slots in tails.get(lead, {}).items():
+            for k_in in used:
                 m = k_out + k_in - 1
-                for out, ins, p, signed, exp in index.get((mid, k_out), ()):
-                    tup = ins[:p] + inner + ins[p + 1:]
-                    yield (m, tup, out, (exp + exp_in) % modulus), signed * mag_in
+                if m > max_arity:
+                    break
+                for inner, mag_in, exp_in in by_out.get((label, k_in), ()):
+                    for out, ins, p, signed, exp in slots:
+                        tup = ins[:p] + inner + ins[p + 1:]
+                        totals[(m, tup, out, (exp + exp_in) % modulus)] += signed * mag_in
+        for (mid, k_in), recs in inners.items():
+            for k_out in used:
+                m = k_out + k_in - 1
+                if m > max_arity:
+                    break
+                for out, ins, signed, exp in heads.get((mid, k_out), ()):
+                    rest = ins[1:]
+                    for inner, mag_in, exp_in in recs:
+                        tup = inner + rest
+                        totals[(m, tup, out, (exp + exp_in) % modulus)] += signed * mag_in
+        yield lead, totals
 
 
 def _total(by_exp, order, phi):
@@ -250,6 +280,11 @@ def check_stasheff(alg, max_arity):
     Fraction or Cyc values.  Stored entries are joined pairwise, which
     reaches every instance with at least one nonzero term, and only
     pairs whose composed arity is at most max_arity are visited.
+
+    The identities are summed and decided in groups keyed by the first
+    label of their input tuple (see `_joined_terms`), so the totals dict
+    holds one group at a time: its memory is bounded by the largest
+    group, not by the number of identities.
     """
     orders = {
         c.order for table in alg.ops.values() for c in table.values()
@@ -260,19 +295,18 @@ def check_stasheff(alg, max_arity):
     order = orders.pop() if orders else None
     phi = _cyclotomic(order) if order else None
     split, scale = _splitter(alg)
-    totals = defaultdict(int)
-    for key, mag in _joined_terms(alg, max_arity, split, order or 1):
-        totals[key] += mag
-    by_identity = {}
     unit = scale * scale
-    for (m, tup, out, exp), mag in totals.items():
-        if mag:
-            by_identity.setdefault((m, tup, out), {})[exp] = Fraction(mag, unit)
     violations = []
-    for (m, tup, out), by_exp in by_identity.items():
-        total = _total(by_exp, order, phi)
-        if total:
-            violations.append((m, tup, out, total))
+    for _, totals in _joined_terms(alg, max_arity, split, order or 1):
+        by_identity = {}
+        for (m, tup, out, exp), mag in totals.items():
+            if mag:
+                by_identity.setdefault((m, tup, out), {})[exp] = Fraction(mag, unit)
+        del totals  # the generator then drops the group's last reference
+        for (m, tup, out), by_exp in by_identity.items():
+            total = _total(by_exp, order, phi)
+            if total:
+                violations.append((m, tup, out, total))
     violations.sort(key=lambda rec: (rec[0], rec[1], rec[2]))
     return violations
 

@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations_with_replacement, product as iproduct
 from math import comb
@@ -7,6 +9,8 @@ import pytest
 
 from koszulmf.ainfty import (
     _cyclotomic,
+    _joined_terms,
+    _splitter,
     _tail_sign,
     _total,
     Cyc,
@@ -293,6 +297,101 @@ def test_join_matches_exhaustive_on_random_algebras(cyc_order):
             assert _typed(joined) == _typed(_reference_join(alg, max_arity))
             if max_arity >= 3:
                 assert joined
+
+
+def _ungrouped_terms(alg, max_arity, split, modulus):
+    """The replaced join of `check_stasheff`: ((arity, tuple, output,
+    exponent), scaled magnitude) for every term of every identity at
+    once, outer slots indexed by (slot label, outer arity) alone."""
+    arities = sorted(k for k, table in alg.ops.items() if any(table.values()))
+    k_min = min(arities, default=0)
+    outer = [k for k in arities if k + k_min - 1 <= max_arity]
+    index = {}
+    for k_out in outer:
+        for (out, ins), c_out in alg.ops[k_out].items():
+            if not c_out:
+                continue
+            mag, exp = split(c_out)
+            for p, label in enumerate(ins):
+                signed = _tail_sign(alg.zdeg, ins[p + 1:]) * mag
+                index.setdefault((label, k_out), []).append((out, ins, p, signed, exp))
+    for k_in in arities:
+        reach = [k for k in outer if k + k_in - 1 <= max_arity]
+        if not reach:
+            continue
+        for (mid, inner), c_in in alg.ops[k_in].items():
+            if not c_in:
+                continue
+            mag_in, exp_in = split(c_in)
+            for k_out in reach:
+                m = k_out + k_in - 1
+                for out, ins, p, signed, exp in index.get((mid, k_out), ()):
+                    tup = ins[:p] + inner + ins[p + 1:]
+                    yield (m, tup, out, (exp + exp_in) % modulus), signed * mag_in
+
+
+def _assert_grouped(alg, max_arity):
+    """Each group of `_joined_terms` shares one leading label, no two
+    groups share a key, and the merged sums equal the ungrouped join's.
+    Returns the leading labels in the order the groups came."""
+    split, _ = _splitter(alg)
+    modulus = _order(alg) or 1
+    merged, leads = {}, []
+    for lead, totals in _joined_terms(alg, max_arity, split, modulus):
+        assert {tup[0] for _, tup, _, _ in totals} <= {lead}
+        assert not merged.keys() & totals.keys()
+        merged.update(totals)
+        leads.append(lead)
+    ungrouped = defaultdict(int)
+    for key, mag in _ungrouped_terms(alg, max_arity, split, modulus):
+        ungrouped[key] += mag
+    assert merged == ungrouped
+    return leads
+
+
+def test_groups_partition_the_join_on_z3_smash(smash_z3):
+    leads = _assert_grouped(smash_z3, 4)
+    assert len(leads) == len(set(leads)) == len(smash_z3.basis)
+
+
+@pytest.mark.parametrize("cyc_order", [None, 3, 4])
+def test_groups_partition_the_join_on_random_algebras(cyc_order):
+    rng = random.Random(47 + (cyc_order or 0))
+    for trial in range(3):
+        alg = _random_algebra(rng, 4 + trial, cyc_order)
+        for max_arity in range(1, 6):
+            _assert_grouped(alg, max_arity)
+
+
+def test_groups_include_labels_missing_from_the_basis():
+    # the label 9 leads entries and identities, but the basis lists only
+    # the random algebra's labels 0..3
+    rng = random.Random(53)
+    alg = _random_algebra(rng, 4, 3)
+    alg.zdeg[9] = 1
+    one = Cyc(F(1), 0, 3)
+    alg.ops[2].update({
+        (9, (0, 1)): one,
+        (1, (9, 9)): one,
+        (2, (9, 3)): Cyc(F(2), 1, 3),
+    })
+    for max_arity in range(2, 5):
+        assert 9 in _assert_grouped(alg, max_arity)
+        joined = _assert_same_as_reference(alg, max_arity)
+    assert any(tup[0] == 9 for _, tup, _, _ in joined)
+
+
+def test_stasheff_peak_memory_is_bounded_by_one_group(smash_z3):
+    # The ungrouped join peaked at 7.4 MiB here, with every identity's
+    # totals alive at once.  The bound is tied to CPython 3.11's object
+    # sizes (dicts, tuples, ints); another interpreter may need a new one.
+    tracemalloc.start()
+    try:
+        assert check_stasheff(smash_z3, 4) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 # -------------------------------------------------------------------- opposite

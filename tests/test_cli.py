@@ -189,6 +189,30 @@ def test_mf_check_fails_on_a_flipped_commutator_sign(capsys, monkeypatch,
     assert "FAIL" in err
 
 
+def test_mf_check_reports_d_squared_nonzero_in_a_piece(capsys, monkeypatch,
+                                                       fresh_tables):
+    # one entry doubled in the first multi-entry column of every piece's
+    # D * d: the pieces then fail d o d = 0, a failed check (exit 1 with
+    # the full report), not a usage error
+    def doubled(basis, index, cfg):
+        cols = weyl.differential_columns(basis, index, cfg)
+        for col in cols:
+            if len(col) > 1:
+                row = next(iter(col))
+                col[row] *= 2
+                break
+        return cols
+
+    monkeypatch.setattr(minimal, "differential_columns", doubled)
+    code, out, err = run_cli(["mf-check", "--n", "1", "--samples", "20"], capsys)
+    assert code == 1
+    res = report(out)["results"]
+    assert res["differential_squared_zero"] is False
+    assert res["pass"] is False
+    assert None in [dim for _, dim in res["piece_dims"]]
+    assert "FAIL" in err and "error" not in err
+
+
 def test_morse_and_coamoeba_and_pearl(capsys):
     code, out, _ = run_cli(["morse", "--n", "1"], capsys)
     assert code == 0
