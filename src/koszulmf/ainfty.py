@@ -189,61 +189,48 @@ def _joined_terms(alg, max_arity, split, modulus):
     belongs to the group of the outer entry's first input when p >= 1,
     and to the group of inner[0] when p == 0.
 
-    Outer slots with p >= 1 are indexed by (leading label, slot label,
-    outer arity), slots with p == 0 by (slot label, outer arity).  Inner
-    entries are indexed by (output, arity), and the same records by
-    leading label, so a group visits only its own pairs.  Only arities k
+    Each nonzero entry is one record (k, out, ins, mag, signed, exp),
+    signed[p] being the magnitude times the tail sign of slot p, and the
+    records sit in two indexes: first[label], the entries whose first
+    input is label, and by_out[label], the entries whose output is label.
+    The group of lead walks first[lead] once: each entry is the outer
+    factor of the entries in by_out[ins[p]] for its slots p >= 1, and the
+    inner factor in slot 0 of the entries in first[out].  Only arities k
     with k + k_min - 1 <= max_arity are indexed, k_min the smallest arity
-    with a nonzero entry, and only pairs whose composed arity is at most
-    max_arity are visited, so every visited pair is a term.  The tail
-    sign is folded into the indexed magnitude.  Groups come in the order
-    their labels first lead an entry, so labels missing from alg.basis
-    get their groups too.
+    with a nonzero entry, in ascending order, so a composed arity above
+    max_arity ends the scan of an index list and every visited pair is a
+    term.  Groups come in the order their labels first lead an entry, so
+    labels missing from alg.basis get their groups too.
     """
     arities = sorted(k for k, table in alg.ops.items() if any(table.values()))
-    k_min = min(arities, default=0)
-    used = [k for k in arities if k + k_min - 1 <= max_arity]
-    tails = {}   # lead -> {(slot label, k_out): [(out, ins, p, signed, exp)]}
-    heads = {}   # (slot label, k_out) -> [(out, ins, signed, exp)]
-    by_out = {}  # (output, k_in) -> [(inner, mag, exp)]
-    leads = {}   # lead -> {(output, k_in): the same records}
-    for k in used:
+    first, by_out = {}, {}
+    for k in arities:
+        if k + arities[0] - 1 > max_arity:
+            break
         for (out, ins), coef in alg.ops[k].items():
             if not coef:
                 continue
             mag, exp = split(coef)
-            rec = (ins, mag, exp)
-            by_out.setdefault((out, k), []).append(rec)
-            leads.setdefault(ins[0], {}).setdefault((out, k), []).append(rec)
-            heads.setdefault((ins[0], k), []).append(
-                (out, ins, _tail_sign(alg.zdeg, ins[1:]) * mag, exp)
-            )
-            if k > 1:
-                tail = tails.setdefault(ins[0], {})
-                for p in range(1, k):
-                    signed = _tail_sign(alg.zdeg, ins[p + 1:]) * mag
-                    tail.setdefault((ins[p], k), []).append((out, ins, p, signed, exp))
-    for lead, inners in leads.items():
+            signed = tuple(_tail_sign(alg.zdeg, ins[p + 1:]) * mag for p in range(k))
+            rec = (k, out, ins, mag, signed, exp)
+            first.setdefault(ins[0], []).append(rec)
+            by_out.setdefault(out, []).append(rec)
+    for lead, entries in first.items():
         totals = defaultdict(int)
-        for (label, k_out), slots in tails.get(lead, {}).items():
-            for k_in in used:
-                m = k_out + k_in - 1
+        for k, out, ins, mag, signed, exp in entries:
+            for p in range(1, k):
+                for k_in, _, inner, mag_in, _, exp_in in by_out.get(ins[p], ()):
+                    m = k + k_in - 1
+                    if m > max_arity:
+                        break
+                    tup = ins[:p] + inner + ins[p + 1:]
+                    totals[(m, tup, out, (exp + exp_in) % modulus)] += signed[p] * mag_in
+            for k_out, top, outer, _, signed_out, exp_out in first.get(out, ()):
+                m = k_out + k - 1
                 if m > max_arity:
                     break
-                for inner, mag_in, exp_in in by_out.get((label, k_in), ()):
-                    for out, ins, p, signed, exp in slots:
-                        tup = ins[:p] + inner + ins[p + 1:]
-                        totals[(m, tup, out, (exp + exp_in) % modulus)] += signed * mag_in
-        for (mid, k_in), recs in inners.items():
-            for k_out in used:
-                m = k_out + k_in - 1
-                if m > max_arity:
-                    break
-                for out, ins, signed, exp in heads.get((mid, k_out), ()):
-                    rest = ins[1:]
-                    for inner, mag_in, exp_in in recs:
-                        tup = inner + rest
-                        totals[(m, tup, out, (exp + exp_in) % modulus)] += signed * mag_in
+                tup = ins + outer[1:]
+                totals[(m, tup, top, (exp_out + exp) % modulus)] += signed_out[0] * mag
         yield lead, totals
 
 
@@ -279,7 +266,9 @@ def check_stasheff(alg, max_arity):
     magnitudes per root-of-unity exponent (see `_splitter`), never as
     Fraction or Cyc values.  Stored entries are joined pairwise, which
     reaches every instance with at least one nonzero term, and only
-    pairs whose composed arity is at most max_arity are visited.
+    pairs whose composed arity is at most max_arity are visited.  The
+    join looks pairs up in two indexes over one record per nonzero
+    entry: the entries by first input and the entries by output.
 
     The identities are summed and decided in groups keyed by the first
     label of their input tuple (see `_joined_terms`), so the totals dict

@@ -50,7 +50,7 @@ def elements(mask):
 
 
 def size(mask):
-    return bin(mask).count("1")
+    return mask.bit_count()
 
 
 def e_vec(mask, n):

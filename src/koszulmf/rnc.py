@@ -8,9 +8,12 @@ is the rational map
     u_k(z) = (n+1)/(z - nu_k) - sum_{j != k} 1/(z - nu_j),
 
 so u(nu_j) = p_{j} on the nose, and the nodes nu_j are chosen to make
-u(0) = p.  Everything is exact rational arithmetic except the real-root
-isolation for the crossing check, which is float-guided but certified by
-exact sign evaluations.
+u(0) = p.  Everything is exact rational arithmetic except the crossing
+check, which is not certified: it brackets real roots by exact sign
+changes at the points of a float grid (512, then 4096, then 32768
+samples), bisects the brackets, and evaluates the derivative at the
+roots in floats, which the CLI compares against --tolerance.  A root
+the grid misses is only flagged.  Exact certification is ROADMAP item 6.
 """
 
 from __future__ import annotations

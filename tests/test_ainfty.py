@@ -354,6 +354,13 @@ def test_groups_partition_the_join_on_z3_smash(smash_z3):
     assert len(leads) == len(set(leads)) == len(smash_z3.basis)
 
 
+def test_groups_partition_the_join_on_n1_model(alg_n1):
+    # at arity 5 mu^4 is the outer factor in all four slots, so every
+    # entry of a record's per-slot signed magnitudes is used
+    assert max(alg_n1.ops) == 4
+    _assert_grouped(alg_n1, 5)
+
+
 @pytest.mark.parametrize("cyc_order", [None, 3, 4])
 def test_groups_partition_the_join_on_random_algebras(cyc_order):
     rng = random.Random(47 + (cyc_order or 0))
