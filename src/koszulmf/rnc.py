@@ -8,12 +8,10 @@ is the rational map
     u_k(z) = (n+1)/(z - nu_k) - sum_{j != k} 1/(z - nu_j),
 
 so u(nu_j) = p_{j} on the nose, and the nodes nu_j are chosen to make
-u(0) = p.  Everything is exact rational arithmetic except the crossing
-check, which is not certified: it brackets real roots by exact sign
-changes at the points of a float grid (512, then 4096, then 32768
-samples), bisects the brackets, and evaluates the derivative at the
-roots in floats, which the CLI compares against --tolerance.  A root
-the grid misses is only flagged.  Exact certification is ROADMAP item 6.
+u(0) = p.  Everything is exact rational arithmetic.  The crossing check
+brackets the real roots of each cleared numerator by its signs at the
+nodes, where it never vanishes, and reads the sign of the derivative at
+each root from the bracket; floats appear only in the displayed roots.
 """
 
 from __future__ import annotations
@@ -27,10 +25,6 @@ ONE = Fraction(1)
 
 class DegenerateTarget(ValueError):
     """The anchor point does not determine distinct finite nodes."""
-
-
-class RootIsolationFailure(RuntimeError):
-    """Sign-change bisection could not separate the real roots."""
 
 
 def gauge_solution(n, p_phi):
@@ -160,89 +154,70 @@ def projectively_equal(u, v):
 
 @dataclass
 class CrossingReport:
-    """Real roots of one component and the derivative there."""
+    """Real roots of one component and the exact sign of u_k' there."""
 
     component: int
     roots: list
-    derivatives: list
+    derivative_signs: list
     flags: list
 
 
-def _exact_sign(coeffs, z):
-    v = _poly_eval(coeffs, Fraction(z))
+def _sign(coeffs, z):
+    v = _poly_eval(coeffs, z)
     return (v > 0) - (v < 0)
 
 
-def _bisect(coeffs, lo, hi, width):
-    slo = _exact_sign(coeffs, lo)
-    for _ in range(200):
-        if hi - lo <= width:
-            break
+def _display_root(coeffs, lo, hi, slo):
+    """Bisect the bracket (lo, hi), sign slo at lo, until its midpoint
+    rounds to the float of an end, and return that float."""
+    while True:
         mid = (lo + hi) / 2
-        if mid in (lo, hi):
-            break
-        smid = _exact_sign(coeffs, mid)
-        if smid == 0:
-            return mid, mid
+        smid = _sign(coeffs, mid)
+        if not smid or float(mid) in (float(lo), float(hi)):
+            return float(mid)
         if smid == slo:
             lo = mid
         else:
             hi = mid
-    return lo, hi
 
 
-def crossing_positivity(curve, width=1e-12):
-    """Isolate all real roots of each component and evaluate the
-    derivative of the rational form there.
+def crossing_positivity(curve):
+    """Certify that each component u_k crosses zero n times, upward.
 
-    The derivative at a root is -(n+1)/(z-nu_k)^2 + sum 1/(z-nu_j)^2,
-    positive by the quadratic-arithmetic mean inequality; each report
-    carries the refined roots, those values, and a flag when a component
-    shows fewer real roots than its degree.
+    U_k never vanishes at a node: U_k(nu_j) = -prod_{m != j}(nu_j - nu_m)
+    for j != k and (n+1) prod_{m != k}(nu_k - nu_m) for j = k.  Its signs
+    at -B, the sorted nodes and +B, B the Cauchy bound (so the signs at
+    +-infinity), bracket its real roots; each sign change holds a root of
+    odd multiplicity.  When there are deg U_k = n changes, each bracket
+    holds one simple root and U_k has no other.  At a root
+    u_k' = U_k'/P with P = prod(z - nu_m), so the sign of u_k' is the
+    direction of the change times (-1)^(nodes above the bracket).  A
+    component with fewer than n changes is flagged.  Roots are bisected
+    exactly inside their brackets and converted to float only for
+    display.
     """
     n = curve.n
-    polys = cleared_polys(curve)
+    nodes = sorted(curve.nodes)
     reports = []
-    for k, coeffs in enumerate(polys):
-        degree = len(coeffs) - 1
-        lead = abs(float(coeffs[-1]))
-        bound = 1.0 + max(abs(float(c)) for c in coeffs) / lead
-        roots = []
+    for k, coeffs in enumerate(cleared_polys(curve)):
+        tail = max((abs(c) for c in coeffs[:-1]), default=ZERO)
+        bound = 1 + tail / abs(coeffs[-1])
+        # a node beyond +-B has the sign of that end: no bracket there
+        points = [-bound, *nodes, bound]
+        signs = [_sign(coeffs, z) for z in points]
+        brackets = [
+            i for i in range(1, len(points)) if signs[i - 1] * signs[i] < 0
+        ]
         flags = []
-        for resolution in (512, 4096, 32768):
-            roots = []
-            prev_z = -bound
-            prev_s = _exact_sign(coeffs, -bound)
-            step = 2 * bound / resolution
-            for i in range(1, resolution + 1):
-                z = -bound + i * step
-                s = _exact_sign(coeffs, z)
-                if s == 0:
-                    # sample landed exactly on a root
-                    roots.append((z, z))
-                elif prev_s and s != prev_s:
-                    roots.append((prev_z, z))
-                prev_z, prev_s = z, s
-            if len(roots) >= degree:
-                break
-        if len(roots) > degree:
-            raise RootIsolationFailure(
-                f"component {k}: {len(roots)} sign changes for degree {degree}"
-            )
-        if len(roots) < degree:
-            flags.append(
-                f"found {len(roots)} of {degree} expected real roots"
-            )
-        refined = []
-        for lo, hi in roots:
-            rlo, rhi = _bisect(coeffs, lo, hi, width)
-            refined.append((float(rlo) + float(rhi)) / 2)
-        derivs = []
-        for z in refined:
-            total = 0.0
-            for j, nu in enumerate(curve.nodes):
-                term = 1.0 / (z - float(nu)) ** 2
-                total += -(n + 1) * term if j == k else term
-            derivs.append(total)
-        reports.append(CrossingReport(k, refined, derivs, flags))
+        if len(brackets) < n:
+            flags.append(f"{len(brackets)} sign changes, {n} expected")
+        roots = [
+            _display_root(coeffs, points[i - 1], points[i], signs[i - 1])
+            for i in brackets
+        ]
+        # the nodes above bracket i are points[i:-1]
+        derivative_signs = [
+            signs[i] * (-1) ** (len(points) - 1 - i) for i in brackets
+        ]
+        reports.append(CrossingReport(k, roots, derivative_signs, flags))
     return reports

@@ -589,9 +589,8 @@ def test_criterion_13_interpolating_curve():
             for rep in crossing_positivity(curve):
                 if rep.flags or len(rep.roots) != n:
                     ok = False
-                # strict positivity, checked in floats with 1e-9 slack:
-                # far from the nodes the true value decays like z^-4
-                if not all(d > -1e-9 for d in rep.derivatives):
+                # strict positivity, certified exactly at every root
+                if rep.derivative_signs != [1] * n:
                     ok = False
     dt = time.perf_counter() - t0
     _line(

@@ -55,9 +55,11 @@ def test_usage_and_precondition_errors(capsys):
                    capsys)[0] == 2
     assert run_cli(["hkr", "--n", "2", "--r", "2", "--t", "-2",
                     "--threads", "2"], capsys)[0] == 2  # no such option
-    # only coamoeba, morse and rnc take a tolerance
+    # only coamoeba and morse take a tolerance; rnc's check is exact
     assert run_cli(["zonotope", "--n", "2", "--tolerance", "1e-3"],
                    capsys)[0] == 2
+    assert run_cli(["rnc", "--n", "1", "--pphi", "1,2,-3", "--tolerance",
+                    "1e-3"], capsys)[0] == 2
     assert run_cli(["mf-check", "--n", "1", "--samples", "-3"], capsys)[0] == 2
     for argv in (
         ["pearl-degree", "--n", "1", "--k0", "-", "--inputs", "1", "2", "7"],
@@ -105,9 +107,12 @@ def test_report_determinism(capsys):
     argv = ["zonotope", "--n", "2"]
     _, first, _ = run_cli(argv, capsys)
     _, second, _ = run_cli(argv, capsys)
-    strip = lambda s: re.sub(r'"wall_time_seconds": [^,\n]+', "", s)
+    def strip(text):
+        text, count = re.subn(r'"wall_time_seconds":[^,}]+', "", text)
+        assert count == 1
+        return text
+
     assert strip(first) == strip(second)
-    assert first != ""
 
 
 def test_zonotope_report(capsys):
@@ -312,7 +317,27 @@ def test_rnc_report(capsys):
     assert res["cleared_degrees"] == [1, 1, 1]
     roots = [c["roots"] for c in res["crossings"]]
     assert all(len(r) == 1 for r in roots)
-    assert abs(roots[0][0] - 9 / 11) < 1e-9
+    for got, root in zip(roots, (9 / 11, 9, 27 / 13)):
+        assert abs(got[0] - root) < 1e-9
+    assert [c["derivative_signs"] for c in res["crossings"]] == [[1]] * 3
+    assert "tolerance" not in res
+    assert "tolerance" not in report(out)["parameters"]
+
+
+def test_rnc_fails_on_a_negative_crossing(capsys, monkeypatch):
+    real = cli.crossing_positivity
+
+    def flipped(curve):
+        reps = real(curve)
+        reps[0].derivative_signs = [-s for s in reps[0].derivative_signs]
+        return reps
+
+    monkeypatch.setattr(cli, "crossing_positivity", flipped)
+    code, out, _ = run_cli(["rnc", "--n", "1", "--pphi", "1,2,-3"], capsys)
+    assert code == 1
+    res = report(out)["results"]
+    assert res["interpolates_coordinate_points"] and res["anchor_at_zero"]
+    assert res["crossings"][0]["derivative_signs"] == [-1]
 
 
 @pytest.fixture(scope="module")

@@ -1,11 +1,13 @@
 """Node solver and crossing checks for the interpolating rational curve."""
 
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from koszulmf import cli, rnc
 from koszulmf.rnc import (
     CurveData,
     DegenerateTarget,
@@ -172,7 +174,7 @@ def test_crossing_positivity_frozen_roots():
         assert rep.flags == []
         assert len(rep.roots) == 1
         assert abs(rep.roots[0] - root) < 1e-9
-        assert rep.derivatives[0] > 1e-9
+        assert rep.derivative_signs == [1]
 
 
 def test_crossing_positivity_random_targets():
@@ -186,9 +188,7 @@ def test_crossing_positivity_random_targets():
             for rep in reports:
                 assert rep.flags == []
                 assert len(rep.roots) == n
-                # positive up to float slack: roots far outside the node
-                # hull have true derivative of order z^-4
-                assert all(d > -1e-9 for d in rep.derivatives)
+                assert rep.derivative_signs == [1] * n
 
 
 def test_crossing_positivity_deterministic():
@@ -196,4 +196,39 @@ def test_crossing_positivity_deterministic():
     a = crossing_positivity(c)
     b = crossing_positivity(c)
     assert [r.roots for r in a] == [r.roots for r in b]
-    assert [r.derivatives for r in a] == [r.derivatives for r in b]
+    assert [r.derivative_signs for r in a] == [r.derivative_signs for r in b]
+
+
+def test_cleared_polys_closed_form_at_nodes():
+    # the brackets of crossing_positivity rest on these nonzero values
+    rng = random.Random(20240829)
+    for n in (1, 2, 3, 4):
+        for _ in range(5):
+            c = solve_nodes(n, _random_target(rng, n))
+            for k, poly in enumerate(cleared_polys(c)):
+                for j, nu in enumerate(c.nodes):
+                    others = (mu for m, mu in enumerate(c.nodes) if m != j)
+                    q = math.prod(nu - mu for mu in others)
+                    expected = (n + 1) * q if j == k else -q
+                    assert expected != 0
+                    value = sum(a * nu**i for i, a in enumerate(poly))
+                    assert value == expected
+
+
+def test_complex_pair_is_flagged(monkeypatch, capsys):
+    # z^2 + 1 keeps its sign at every node: no bracket, so no certified
+    # root; 2z - 1 has its one root but falls short of degree n = 2
+    real = rnc.cleared_polys
+    line, pair = (F(-1), F(2)), (F(1), F(0), F(1))
+    monkeypatch.setattr(
+        rnc, "cleared_polys", lambda c: [line, *real(c)[1:-1], pair]
+    )
+    c = solve_nodes(2, (1, 2, 3, -6))
+    first, *middle, last = crossing_positivity(c)
+    assert first.flags and first.roots == [0.5]
+    assert all(not rep.flags for rep in middle)
+    assert last.flags and last.roots == [] and last.derivative_signs == []
+    assert cli.main(["rnc", "--n", "2", "--pphi", "1,2,3,-6"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["results"]["crossings"][-1]["flags"] == last.flags
+    assert out["results"]["pass"] is False
