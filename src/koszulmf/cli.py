@@ -246,13 +246,16 @@ def _cmd_mf_check(args):
 
 def _cmd_minimal_model(args):
     weights = _parse_rationals(args.a_weights) if args.a_weights else None
-    cfg = MFConfig(args.n, weights)
-    choice = (
-        CohomologyBasisChoice(tuple(int(s) for s in args.dbar_aux.split(",")))
-        if args.dbar_aux
-        else CohomologyBasisChoice.default(args.n)
-    )
     n = args.n
+    cfg = MFConfig(n, weights)
+    choice = CohomologyBasisChoice.default(n)
+    if args.dbar_aux:
+        aux = tuple(int(s) for s in args.dbar_aux.split(","))
+        # the count first: a range check on too few indices misleads
+        if len(aux) != cfg.nvars:
+            raise ValueError(
+                f"--dbar-aux needs {cfg.nvars} indices, got {len(aux)}")
+        choice = CohomologyBasisChoice(aux)
     top = args.max_arity if args.max_arity is not None else n + 2
     if top < 2:
         raise ValueError("max arity must be at least 2")

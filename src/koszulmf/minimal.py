@@ -140,8 +140,7 @@ def _reduced(terms, den):
 
 
 class _Engine:
-    """Shared caches for one (cfg, choice): bases, D * d columns, pieces
-    and blocks."""
+    """Shared caches for one (cfg, choice): piece records and blocks."""
 
     def __init__(self, cfg, choice):
         self.cfg = cfg
@@ -149,38 +148,10 @@ class _Engine:
         self.n = cfg.n
         self.step = cfg.n + 2
         self.scale = delta_terms(cfg)[0]
-        self._bases = {}
-        self._columns = {}
         self._pieces = {}
         self._blocks = {}
 
     # -- bigraded piece plumbing --------------------------------------
-
-    def basis(self, key):
-        hit = self._bases.get(key)
-        if hit is None:
-            wrep, qnum = key
-            lst = bigraded_basis(
-                LatticeClass(wrep), Fraction(qnum, self.step), self.cfg
-            )
-            hit = (lst, {m: i for i, m in enumerate(lst)})
-            self._bases[key] = hit
-        return hit
-
-    def columns(self, key):
-        """D * d out of the piece as int columns; rows index the piece above.
-
-        Cached: a piece's outgoing map is also the incoming map of the
-        piece one degree up.
-        """
-        hit = self._columns.get(key)
-        if hit is None:
-            wrep, qnum = key
-            basis, _ = self.basis(key)
-            _, tindex = self.basis((wrep, qnum + self.step))
-            hit = differential_columns(basis, tindex, self.cfg)
-            self._columns[key] = hit
-        return hit
 
     def exterior_label(self, key):
         """The unique K0 with (weight, degree) matching the piece, if any."""
@@ -194,11 +165,16 @@ class _Engine:
         return None
 
     def piece(self, key):
-        """The piece's contraction and the K0 of its harmonic line (or None)."""
+        """The piece's record (con, harm_mask, index, below).
+
+        con is its contraction, harm_mask the K0 of its harmonic line (or
+        None), index its row index {monomial: row} and below the basis of
+        the piece one degree down, the rows of `split`'s h.  The bases
+        and D * d columns the contraction is built from are not kept.
+        """
         hit = self._pieces.get(key)
         if hit is None:
-            wrep, qnum = key
-            _, index = self.basis(key)
+            (below, _, _), index, (d_in, d_out) = _complex(key, self.cfg)
             harm_mask = self.exterior_label(key)
             harmonic = []
             if harm_mask is not None:
@@ -207,11 +183,10 @@ class _Engine:
                     {index[m]: Fraction(c, den) for m, c in terms.items()}
                 )
             try:
-                con = Contraction(self.columns((wrep, qnum - self.step)),
-                                  self.columns(key), harmonic, self.scale)
+                con = Contraction(d_in, d_out, harmonic, self.scale)
             except ValueError as exc:
                 raise RuntimeError(f"piece {key}: {exc}") from exc
-            hit = (con, harm_mask)
+            hit = (con, harm_mask, index, below)
             self._pieces[key] = hit
         return hit
 
@@ -224,8 +199,7 @@ class _Engine:
         component of x outside ker(d) is discarded, which is exactly what
         both p and h do to it.
         """
-        con, harm_mask = self.piece(key)
-        _, index = self.basis(key)
+        con, harm_mask, index, below = self.piece(key)
         try:
             harm, pre, pre_den = con.split(
                 {index[m]: c for m, c in terms.items()}, den
@@ -233,8 +207,6 @@ class _Engine:
         except ValueError as exc:
             raise RuntimeError(f"piece {key}: {exc}") from exc
         alpha = {harm_mask: harm[0]} if harm and harm[0] else {}
-        wrep, qnum = key
-        below, _ = self.basis((wrep, qnum - self.step))
         return alpha, {below[src]: c for src, c in pre.items()}, pre_den
 
     # -- transfer tree sum --------------------------------------------
@@ -333,15 +305,31 @@ def _cached_engine(cfg, choice):
     return _Engine(cfg, choice)
 
 
+def _complex(key, cfg):
+    """The pieces one degree below, at and above key, and D * d between them.
+
+    Returns (bases, index, maps): the three `bigraded_basis` lists, the
+    middle one's row index, and the maps out of the lower two as
+    `differential_columns`.
+    """
+    wrep, qnum = key
+    step = cfg.nvars
+    w = LatticeClass(wrep)
+    bases = [bigraded_basis(w, Fraction(qnum + i * step, step), cfg)
+             for i in (-1, 0, 1)]
+    index, above = ({m: i for i, m in enumerate(b)} for b in bases[1:])
+    maps = [differential_columns(bases[0], index, cfg),
+            differential_columns(bases[1], above, cfg)]
+    return bases, index, maps
+
+
 def cohomology_dim(w, q, cfg):
     """Rank of the cohomology of (B, d) in the piece (w, q)."""
     qnum = Fraction(q) * cfg.nvars
     if qnum.denominator != 1:
         return 0
-    eng = _engine(cfg, None)
-    keys = [(w.rep, int(qnum) + i * eng.step) for i in (-1, 0, 1)]
-    dims = [len(eng.basis(key)[0]) for key in keys]
-    return homology_ranks(dims, [eng.columns(key) for key in keys[:2]])[1]
+    bases, _, maps = _complex((w.rep, int(qnum)), cfg)
+    return homology_ranks([len(b) for b in bases], maps)[1]
 
 
 def minimal_mu(k, inputs, cfg, choice=None, arity_bound=None):

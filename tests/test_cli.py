@@ -82,6 +82,12 @@ def test_usage_and_precondition_errors(capsys):
     ):
         assert run_cli(argv, capsys)[0] == 2, argv
     assert run_cli(["coamoeba", "--theta", "0", "--tolerance", "0"], capsys)[0] == 0
+    # too few partner indices is reported as a count, not as index 3 (which
+    # is valid at n = 1) out of range
+    code, _, err = run_cli(["minimal-model", "--n", "1", "--dbar-aux", "2,3"],
+                           capsys)
+    assert code == 2
+    assert "needs 3 indices, got 2" in err and "out of range" not in err
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):

@@ -32,6 +32,7 @@ from koszulmf.weyl import (
     MFConfig,
     bigraded_basis,
     decode,
+    differential_columns,
     mono_parity,
     mono_qdeg_num,
     mono_weight,
@@ -213,6 +214,17 @@ def test_cohomology_dim_against_homology_ranks():
         assert homology_ranks(dims, maps)[1] == cohomology_dim(w, q, cfg)
 
 
+def test_cohomology_dim_creates_no_engine():
+    # the three pieces and two maps are built directly, not through an
+    # engine's piece records
+    _cached_engine.cache_clear()
+    for n in (1, 2):
+        cfg = MFConfig(n)
+        for kmask in range(1 << (n + 2)):
+            assert cohomology_dim(*_exterior_piece(kmask, n), cfg) == 1
+    assert _cached_engine.cache_info().currsize == 0
+
+
 def _engine_at(kmask, n=1):
     cfg = MFConfig(n)
     choice = CohomologyBasisChoice.default(n)
@@ -221,44 +233,74 @@ def _engine_at(kmask, n=1):
     return eng, (w.rep, int(q * (n + 2))), choice, cfg
 
 
-def _engine_d_out(eng, key):
-    return [{r: F(v, eng.scale) for r, v in col.items()}
-            for col in eng.columns(key)]
+def _shifted(eng, key, degrees):
+    return (key[0], key[1] + degrees * eng.step)
+
+
+def _maps_and_bases(eng):
+    """The D * d maps and the bases of an engine's contracted pieces.
+
+    The maps are those out of the pieces and out of the pieces one degree
+    down; the bases are the maps' sources and targets.  A basis is read
+    off the piece records where one holds it (a piece's row index, or the
+    basis below it) and made by `bigraded_basis` for the pieces one degree
+    up; the maps are `differential_columns` between those bases.
+    """
+    bases = {}
+    for key, (_, _, index, below) in eng._pieces.items():
+        assert index == {m: i for i, m in enumerate(index)}
+        for bkey, basis in ((key, list(index)),
+                            (_shifted(eng, key, -1), below)):
+            assert bases.setdefault(bkey, basis) == basis, bkey
+    maps = {}
+    for key in list(bases):
+        above = _shifted(eng, key, 1)
+        if above not in bases:
+            bases[above] = bigraded_basis(
+                LatticeClass(above[0]), F(above[1], eng.step), eng.cfg
+            )
+        tindex = {m: i for i, m in enumerate(bases[above])}
+        maps[key] = differential_columns(bases[key], tindex, eng.cfg)
+    return maps, bases
+
+
+def _fraction_map(eng, cols):
+    """The columns of D * d as those of d, with `Fraction` values."""
+    return [{r: F(v, eng.scale) for r, v in col.items()} for col in cols]
 
 
 def test_contraction_for_piece_identities():
     eng, key, choice, cfg = _engine_at(0b001)
-    con, harm_mask = eng.piece(key)
+    con, harm_mask, index, _ = eng.piece(key)
     assert harm_mask == 0b001
     assert con.nharm == 1
     # inject hits the chosen representative
-    basis, index = eng.basis(key)
     rep, den = dbar_product(0b001, choice, cfg)
     rep_col = {index[m]: F(c, den) for m, c in rep.items()}
-    below = (key[0], key[1] - eng.step)
-    above = (key[0], key[1] + eng.step)
-    i, p, h = contraction_parts(con, [rep_col], len(basis))
+    below = _shifted(eng, key, -1)
+    above = _shifted(eng, key, 1)
+    i, p, h = contraction_parts(con, [rep_col], len(index))
     assert i == [rep_col]
     # p i = 1, p d = 0, and the homotopy identity at the middle degree
-    d_in = _engine_d_out(eng, below)
-    d_out = _engine_d_out(eng, key)
-    con_above, harm_above = eng.piece(above)
+    con_above, harm_above, index_above, _ = eng.piece(above)
     assert harm_above is None
-    dim_above = len(eng.basis(above)[0])
-    h_above = contraction_parts(con_above, [], dim_above)[2]
+    maps, _ = _maps_and_bases(eng)
+    d_in = _fraction_map(eng, maps[below])
+    d_out = _fraction_map(eng, maps[key])
+    h_above = contraction_parts(con_above, [], len(index_above))[2]
     assert compose(p, i) == _identity(1)
     assert not any(compose(p, d_in))
     dh_hd = _add(compose(d_in, h), compose(h_above, d_out))
-    assert _add(dh_hd, compose(i, p)) == _identity(len(basis))  # d h + h d = 1 - i p
+    assert _add(dh_hd, compose(i, p)) == _identity(len(index))  # d h + h d = 1 - i p
 
 
 def test_contraction_projects_exact_to_zero():
     eng, key, _, _ = _engine_at(0b011)
-    con, harm_mask = eng.piece(key)
+    con, harm_mask, _, below_basis = eng.piece(key)
     assert harm_mask == 0b011
-    below = (key[0], key[1] - eng.step)
-    d_in = _engine_d_out(eng, below)
-    assert len(d_in) == len(eng.basis(below)[0]) > 0
+    maps, _ = _maps_and_bases(eng)
+    d_in = _fraction_map(eng, maps[_shifted(eng, key, -1)])
+    assert len(d_in) == len(below_basis) > 0
     for col in d_in:
         alpha, _ = _split(con, col)
         assert not any(alpha)
@@ -268,10 +310,11 @@ def test_piece_rejects_corrupted_representative():
     # a broken representative fails the contraction's checks, reported as
     # an internal error naming the piece
     eng, key, _, _ = _engine_at(0b011)
-    basis, _ = eng.basis(key)
-    below_key = (key[0], key[1] - eng.step)
-    not_cocycle = next(j for j, col in enumerate(eng.columns(key)) if col)
-    exact = next(col for col in eng.columns(below_key) if col)
+    eng.piece(key)
+    maps, bases = _maps_and_bases(eng)
+    basis = bases[key]
+    not_cocycle = next(j for j, col in enumerate(maps[key]) if col)
+    exact = next(col for col in maps[_shifted(eng, key, -1)] if col)
     corrupt = [
         ({basis[not_cocycle]: 1}, "not a cocycle"),
         ({}, "dependent"),
@@ -301,21 +344,24 @@ def test_engine_contraction_identities():
         exterior[(w.rep, int(q * (n + 2)))] = kmask
     keys = set(eng._pieces) | set(exterior)
     assert len(keys) > len(exterior)
+    for key in keys:
+        for degrees in (-1, 0, 1):
+            eng.piece(_shifted(eng, key, degrees))
+    maps, _ = _maps_and_bases(eng)
 
     def parts(key):
-        con, harm_mask = eng.piece(key)
+        con, harm_mask, index, _ = eng.piece(key)
         harmonic = []
         if harm_mask is not None:
-            _, index = eng.basis(key)
             rep, den = dbar_product(harm_mask, choice, cfg)
             harmonic.append({index[m]: F(c, den) for m, c in rep.items()})
-        return contraction_parts(con, harmonic, len(eng.basis(key)[0]))
+        return contraction_parts(con, harmonic, len(index))
 
     for key in sorted(keys):
-        below = (key[0], key[1] - eng.step)
-        above = (key[0], key[1] + eng.step)
+        below = _shifted(eng, key, -1)
+        above = _shifted(eng, key, 1)
         assert_contraction_identities(
-            _engine_d_out(eng, below), _engine_d_out(eng, key),
+            _fraction_map(eng, maps[below]), _fraction_map(eng, maps[key]),
             parts(below), parts(key), parts(above),
         )
         if key in exterior:
@@ -331,30 +377,39 @@ BUILDS = [
     (MFConfig(2), (2, 4), 4),
     (MFConfig(1, (F(1, 2), F(1, 3), F(1, 6))), (2, 3, 4), 6),
 ]
+# (pieces, maps, bases) of each build: the contracted pieces, the maps
+# into and out of them, and those maps' sources and targets
+BUILD_COUNTS = {
+    MFConfig(1): (20, 34, 48),
+    MFConfig(2): (96, 140, 184),
+    MFConfig(1, (F(1, 2), F(1, 3), F(1, 6))): (20, 34, 48),
+}
 
 
 @lru_cache(maxsize=len(BUILDS))
 def _built_engine(cfg, arities):
-    """A fresh engine that has run every admissible tuple of the arities."""
+    """A fresh engine that has run every admissible tuple of the arities,
+    with the maps and bases of its pieces."""
     n = cfg.n
     eng = _Engine(cfg, CohomologyBasisChoice.default(n))
     for k in arities:
         for tup in admissible_tuples(n, k, (k - 2) // n):
             eng.mu(tup)
-    return eng
+    maps, bases = _maps_and_bases(eng)
+    assert (len(eng._pieces), len(maps), len(bases)) == BUILD_COUNTS[cfg]
+    return eng, maps, bases
 
 
 @pytest.mark.parametrize("cfg, arities, scale", BUILDS)
 def test_outgoing_columns_match_differential(cfg, arities, scale):
     # every map the build touches holds D * d on ints, with D the lcm of
     # the weights' denominators; the oracle's differential is the reference
-    eng = _built_engine(cfg, arities)
+    eng, maps, bases = _built_engine(cfg, arities)
     assert eng.scale == scale
-    assert eng._columns
-    for key in eng._columns:
-        basis, _ = eng.basis(key)
-        _, tindex = eng.basis((key[0], key[1] + eng.step))
-        for mono, col in zip(basis, eng.columns(key), strict=True):
+    assert len(maps) == BUILD_COUNTS[cfg][1]
+    for key, cols in maps.items():
+        tindex = {m: i for i, m in enumerate(bases[_shifted(eng, key, 1)])}
+        for mono, col in zip(bases[key], cols, strict=True):
             assert all(type(v) is int for v in col.values())
             image = differential(
                 OperatorElement(cfg, {decode(mono, cfg.nvars): F(1)}), cfg
@@ -368,16 +423,15 @@ def test_outgoing_columns_match_differential(cfg, arities, scale):
 def test_columns_match_tuple_oracle(cfg, arities, scale):
     # every column set the build made, against the fused tuple-keyed
     # loop the commutator table replaced: same rows, values and order
-    eng = _built_engine(cfg, arities)
+    eng, maps, bases = _built_engine(cfg, arities)
     n2 = cfg.nvars
-    for key in eng._columns:
-        basis, _ = eng.basis(key)
-        above, _ = eng.basis((key[0], key[1] + eng.step))
+    assert len(maps) == BUILD_COUNTS[cfg][1]
+    for key, got in maps.items():
+        above = bases[_shifted(eng, key, 1)]
         tindex = {decode(m, n2): i for i, m in enumerate(above)}
         want = oracle.differential_columns(
-            [decode(m, n2) for m in basis], tindex, cfg
+            [decode(m, n2) for m in bases[key]], tindex, cfg
         )
-        got = eng.columns(key)
         assert [list(col.items()) for col in got] == [
             list(col.items()) for col in want
         ], key
@@ -386,23 +440,20 @@ def test_columns_match_tuple_oracle(cfg, arities, scale):
 @pytest.mark.parametrize("cfg, arities, scale", BUILDS)
 def test_bases_match_tuple_oracle(cfg, arities, scale):
     # every basis the build made, decoded, in the documented order of the
-    # enumeration it replaced
-    eng = _built_engine(cfg, arities)
-    assert eng._bases
-    for (wrep, qnum), (basis, index) in eng._bases.items():
+    # enumeration it replaced; `_maps_and_bases` checks the row indexes
+    _, _, bases = _built_engine(cfg, arities)
+    assert len(bases) == BUILD_COUNTS[cfg][2]
+    for (wrep, qnum), basis in bases.items():
         decoded = [decode(m, cfg.nvars) for m in basis]
         assert decoded == oracle.bigraded_basis(
             LatticeClass(wrep), F(qnum, cfg.nvars), cfg
         ), (wrep, qnum)
-        assert index == {m: i for i, m in enumerate(basis)}
 
 
 def _reference_h(eng, x, key):
     """h(x) of the `OperatorElement` x in the piece key, one degree down."""
-    con, _ = eng.piece(key)
-    _, index = eng.basis(key)
+    con, _, index, below = eng.piece(key)
     _, pre = _split(con, {index[monomial(*m)]: c for m, c in x.terms.items()})
-    below, _ = eng.basis((key[0], key[1] - eng.step))
     return OperatorElement(
         eng.cfg, {decode(below[src], eng.step): c for src, c in pre.items()}
     )
@@ -444,7 +495,8 @@ def _reference_block(eng, masks, memo):
 def test_blocks_match_reference(cfg, arities, scale):
     # every block the build stores, against the Fraction recursion: the
     # same coefficients, content-reduced, with the parity of the masks
-    eng = _built_engine(cfg, arities)
+    eng, _, _ = _built_engine(cfg, arities)
+    assert len(eng._pieces) == BUILD_COUNTS[cfg][0]
     assert eng._blocks
     memo = {}
     for masks, (terms, den) in eng._blocks.items():
