@@ -86,7 +86,9 @@ class CohomologyBasisChoice:
     def __post_init__(self):
         for j, k in enumerate(self.aux, start=1):
             if not 1 <= k <= len(self.aux):
-                raise BadChoice(f"auxiliary index {k} out of range")
+                raise BadChoice(
+                    f"auxiliary index {k} out of range 1..{len(self.aux)} for a"
+                    f" choice of {len(self.aux)} indices (one per variable)")
             if k == j:
                 raise BadChoice(f"auxiliary index for {j} must differ from {j}")
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import cosh, pi
 
 from .lattice import e_vec, elements, full_mask, size
@@ -223,13 +224,19 @@ class GParams:
                 prev = gp
 
 
+@lru_cache(maxsize=1)
+def _default_gparams():
+    """The default profile, grid-checked once per process on first use."""
+    return GParams()
+
+
 def gradient_f(x, gparams=None):
     """Gradient of the Morse function at a sum-zero point, projected to
     the sphere tangent space.  The unprojected component at any
     coordinate inside the plateau must come out positive (this is the
     transversality statement the function exists for) and is asserted.
     """
-    gp = gparams if gparams is not None else GParams()
+    gp = gparams if gparams is not None else _default_gparams()
     n2 = len(x)
     if abs(sum(x)) > 1e-6 * n2:
         raise ValueError("point must lie on the sum-zero slice")

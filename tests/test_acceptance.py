@@ -154,8 +154,12 @@ def test_criterion_01_factorization_axioms():
         square_ok = square_ok and _square(cfg) == {
             ((1,) * cfg.nvars, 0, 0): scale * scale
         }
-        for _ in range(200):
-            x = _random_homogeneous(rng, cfg)
+        # every Clifford monomial decides d^2 = 0 (D * d is z-equivariant);
+        # the samples cover a != 0 directly
+        clifford = [{monomial((0,) * cfg.nvars, s, t): 1}
+                    for s in range(1 << cfg.nvars) for t in range(1 << cfg.nvars)]
+        samples = [_random_homogeneous(rng, cfg) for _ in range(200)]
+        for x in clifford + samples:
             if scaled_differential(scaled_differential(x, cfg), cfg):
                 d2_ok = False
     dt = time.perf_counter() - t0
@@ -163,7 +167,8 @@ def test_criterion_01_factorization_axioms():
         1,
         "factorization axioms",
         square_ok and d2_ok and dt < 10,
-        f"delta^2=W and d^2=0, n=1..4, 200 samples each, {dt:.1f}s < 10s",
+        f"delta^2=W and d^2=0, n=1..4, every Clifford monomial and 200 "
+        f"samples each, {dt:.1f}s < 10s",
     )
 
 

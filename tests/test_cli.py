@@ -60,6 +60,8 @@ def test_usage_and_precondition_errors(capsys):
                    capsys)[0] == 2
     assert run_cli(["rnc", "--n", "1", "--pphi", "1,2,-3", "--tolerance",
                     "1e-3"], capsys)[0] == 2
+    # mf-check decides d^2 = 0 on every Clifford monomial and takes no
+    # sample count: --samples is an unknown option
     assert run_cli(["mf-check", "--n", "1", "--samples", "-3"], capsys)[0] == 2
     for argv in (
         ["pearl-degree", "--n", "1", "--k0", "-", "--inputs", "1", "2", "7"],
@@ -131,7 +133,7 @@ def test_zonotope_report(capsys):
 
 
 def test_mf_check_n1(capsys):
-    code, out, _ = run_cli(["mf-check", "--n", "1", "--samples", "20"], capsys)
+    code, out, _ = run_cli(["mf-check", "--n", "1"], capsys)
     assert code == 0
     res = report(out)["results"]
     assert res["delta_squared_is_w"] is True
@@ -141,14 +143,18 @@ def test_mf_check_n1(capsys):
 
 
 @pytest.mark.parametrize("n, digest", [
-    (1, "6f1be1263392d9d003cb1384e609e80811d8b09fa8fa4fa05b0b3eac2684bcba"),
-    (2, "4f684451d9170d634a669c758184e7e27eab2eea9ca468eeba3bef98fe94c391"),
+    (1, "913b049320a7b2b9d87b4d7d603880b412a807e9c64df68aa53b70e21856613b"),
+    (2, "d57c256b5c46342aca1791b8382da21b2a4e3b3a363575f45ba95476c474963e"),
 ])
 def test_mf_check_report_digest(n, digest, capsys):
-    # the results of the default 200-sample report, as first recorded
+    # the results first recorded from the 200-sample report, with its
+    # "samples" field removed: d^2 = 0 is now decided on every Clifford
+    # monomial, and every other field is unchanged
     code, out, _ = run_cli(["mf-check", "--n", str(n)], capsys)
     assert code == 0
-    results = json.dumps(report(out)["results"], sort_keys=True)
+    results = report(out)["results"]
+    assert "samples" not in results
+    results = json.dumps(results, sort_keys=True)
     assert hashlib.sha256(results.encode()).hexdigest() == digest
 
 
@@ -160,7 +166,7 @@ def test_mf_check_fails_on_a_wrong_delta(capsys, monkeypatch):
         return scale, ((mono, -c), *rest)
 
     monkeypatch.setattr(cli, "delta_terms", flipped)
-    code, out, err = run_cli(["mf-check", "--n", "1", "--samples", "20"], capsys)
+    code, out, err = run_cli(["mf-check", "--n", "1"], capsys)
     assert code == 1
     assert report(out)["results"]["delta_squared_is_w"] is False
     assert "FAIL" in err
@@ -192,7 +198,7 @@ def test_mf_check_fails_on_a_flipped_commutator_sign(capsys, monkeypatch,
         return tuple((m - low, c) for m, c in out.items() if c)
 
     monkeypatch.setattr(weyl, "_commutator", flipped)
-    code, out, err = run_cli(["mf-check", "--n", "1", "--samples", "20"], capsys)
+    code, out, err = run_cli(["mf-check", "--n", "1"], capsys)
     assert code == 1
     res = report(out)["results"]
     assert res["differential_on_generators"] is False
@@ -215,7 +221,7 @@ def test_mf_check_reports_d_squared_nonzero_in_a_piece(capsys, monkeypatch,
         return cols
 
     monkeypatch.setattr(minimal, "differential_columns", doubled)
-    code, out, err = run_cli(["mf-check", "--n", "1", "--samples", "20"], capsys)
+    code, out, err = run_cli(["mf-check", "--n", "1"], capsys)
     assert code == 1
     res = report(out)["results"]
     assert res["differential_squared_zero"] is False

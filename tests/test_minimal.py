@@ -60,6 +60,9 @@ def test_choice_validation():
         CohomologyBasisChoice((1, 1, 1))
     with pytest.raises(BadChoice):
         CohomologyBasisChoice((2, 1, 4))
+    # a range error on too few indices names the count it was checked for
+    with pytest.raises(BadChoice, match=r"1\.\.2 for a choice of 2 indices"):
+        build_minimal_model(MFConfig(1), CohomologyBasisChoice((2, 3)))
     assert CohomologyBasisChoice.default(1).aux == (2, 1, 1)
     # one partner index per variable, checked wherever an engine is made
     for aux in ((2, 1), (2, 1, 1, 1)):

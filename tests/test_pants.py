@@ -4,6 +4,7 @@ from math import comb, cos, pi, sin
 
 import pytest
 
+from koszulmf import pants
 from koszulmf.lattice import from_elements, full_mask, size
 from koszulmf.linalg import homology_ranks
 from koszulmf.minimal import admissible_tuples, build_minimal_model
@@ -188,6 +189,25 @@ def test_gradient_vanishes_at_critical_points():
             # scaling off the unit sphere keeps the two-block symmetry
             grad = gradient_f([0.7 * v for v in p.unit_coordinates()])
             assert max(abs(v) for v in grad) < 1e-9
+
+
+def test_default_profile_is_built_once(monkeypatch):
+    # the default profile's grid check runs once per process, on first
+    # use, not on every gradient
+    x = [0.55, 0.35, -0.2, -0.7]
+    expected = gradient_f(x, GParams())
+    built = []
+    check = GParams.__post_init__
+
+    def counting(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(GParams, "__post_init__", counting)
+    pants._default_gparams.cache_clear()
+    assert gradient_f(x) == expected
+    assert gradient_f(x) == expected
+    assert len(built) == 1
 
 
 def test_gradient_is_tangent_to_the_sphere():

@@ -1,4 +1,4 @@
-"""The runtime imports only the standard library."""
+"""The runtime imports only the standard library, and no random numbers."""
 
 import ast
 import sys
@@ -7,7 +7,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "koszulmf"
 
 
-def test_runtime_imports_only_stdlib():
+def _imports():
+    """(file name, line, imported module) for every absolute import."""
     files = sorted(SRC.glob("*.py"))
     assert files
     for path in files:
@@ -19,7 +20,17 @@ def test_runtime_imports_only_stdlib():
             else:
                 continue
             for name in names:
-                top = name.partition(".")[0]
-                assert top in sys.stdlib_module_names, (
-                    f"{path.name}:{node.lineno} imports {name}"
-                )
+                yield path.name, node.lineno, name
+
+
+def test_runtime_imports_only_stdlib():
+    for fname, line, name in _imports():
+        top = name.partition(".")[0]
+        assert top in sys.stdlib_module_names, f"{fname}:{line} imports {name}"
+
+
+def test_runtime_does_not_import_random():
+    # every reported check is deterministic and decided on the whole
+    # object; sampling belongs to the tests
+    for fname, line, name in _imports():
+        assert name.partition(".")[0] != "random", f"{fname}:{line} imports {name}"

@@ -320,6 +320,35 @@ def test_differential_squares_to_zero_on_random_elements():
             assert scaled_differential(scaled_differential(x, cfg), cfg) == {}
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_differential_is_z_equivariant(n):
+    # D * d(z^a y) = z^a D * d(y) on every low part: what lets mf-check
+    # decide d^2 = 0 on the Clifford monomials alone
+    cfg = MFConfig(n)
+    n2 = cfg.nvars
+    rng = random.Random(310 + n)
+    for s in range(1 << n2):
+        for t in range(1 << n2):
+            a = tuple(rng.randint(0, 3) for _ in range(n2))
+            base = scaled_differential({monomial((0,) * n2, s, t): 1}, cfg)
+            shifted = {}
+            for m, c in base.items():
+                b, s_out, t_out = decode(m, n2)
+                shifted[(tuple(x + y for x, y in zip(a, b)), s_out, t_out)] = c
+            image = scaled_differential({monomial(a, s, t): 1}, cfg)
+            assert unpacked(image, n2) == shifted
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_differential_squares_to_zero_on_every_clifford_monomial(n):
+    cfg = MFConfig(n)
+    n2 = cfg.nvars
+    for s in range(1 << n2):
+        for t in range(1 << n2):
+            dx = scaled_differential({monomial((0,) * n2, s, t): 1}, cfg)
+            assert scaled_differential(dx, cfg) == {}
+
+
 def test_differential_rejects_mixed_parity():
     # the oracle's d is the graded commutator of a homogeneous element
     cfg = MFConfig(1)
