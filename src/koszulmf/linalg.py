@@ -184,15 +184,24 @@ class Contraction:
     construction (Crainic, arXiv math/0403266); tests check them.  split
     eliminates on integers and makes `Fraction`s only for alpha.
 
-    Raises ValueError when a harmonic column is not a cocycle, when one
-    depends on the others or on the image, and when their number is not
-    the cohomology's dimension; split raises it when the cycle part of x
-    is outside their span (only if d_out d_in != 0).
+    functional(a) gives alpha_a as one exact row: zero at d_out's pivot
+    columns, zero on every d_in column and 1 on harmonic_a, so that
+    alpha_a(x) = row . x for every x, equal to split's by construction.
+    It is built once, on first use, by one back-substitution over the
+    solver's stored steps.
+
+    Raises ValueError when d_out d_in != 0, when a harmonic column is not
+    a cocycle, when one depends on the others or on the image, and when
+    their number is not the cohomology's dimension; split raises it when
+    the cycle part of x is outside their span, which the first check
+    rules out.
     """
 
-    __slots__ = ("nharm", "scale", "_cycles", "_den", "_solver")
+    __slots__ = ("nharm", "scale", "_cycles", "_den", "_solver", "_rows")
 
     def __init__(self, d_in, d_out, harmonic, scale):
+        if any(compose(d_out, d_in)):
+            raise ValueError("d_out o d_in != 0")
         if any(compose(d_out, harmonic)):
             raise ValueError("a harmonic column is not a cocycle")
         self.nharm = nharm = len(harmonic)
@@ -211,6 +220,46 @@ class Contraction:
         # (vec, mult): mult * vec is _den times the kernel vector normalized at f
         self._den = den = lcm(*(vec[f] for f, vec in kernel.items()))
         self._cycles = {f: (vec, den // vec[f]) for f, vec in kernel.items()}
+        self._rows = [None] * nharm  # functional(a), built on first use
+
+    def functional(self, a=0):
+        """alpha_a as (row, den): {column: int} / den, den > 0, content-reduced.
+
+        On a cycle y = sum_k t_k vec_k of the stored steps, alpha_a(y) =
+        sum_k t_k g_k with g_k = scale * expr_k[a].  Each step is zero at
+        every earlier pivot row, so L[i][k] = vec_k[prow_i] is lower
+        triangular and t = L^-1 y at the pivot rows; alpha_a(y) = psi . y
+        with L^T psi = g, solved by one pass over the steps in reverse.
+        split projects x to the cycle sum_f x_f kvec_f / kvec_f[f] over
+        d_out's free columns f, so row_f = psi . kvec_f / kvec_f[f].
+        """
+        hit = self._rows[a]
+        if hit is None:
+            solver = self._solver
+            psi, pden = {}, 1  # psi[prow] / pden
+            for prow, vec, expr in reversed(solver._steps):
+                s = solver._scale * expr.get(a, 0) * pden
+                for r, v in vec.items():
+                    if r in psi:  # only later steps' pivot rows are set
+                        s -= v * psi[r]
+                if s:
+                    p = vec[prow]
+                    g = p // gcd(s, p)
+                    if g != 1:
+                        pden *= g
+                        for r in psi:
+                            psi[r] *= g
+                        s *= g
+                    psi[prow] = s // p
+            row = {}
+            for f, (kvec, mult) in self._cycles.items():
+                c = sum(v * psi[r] for r, v in kvec.items() if r in psi)
+                if c:
+                    row[f] = c * mult
+            den = pden * self._den
+            g = gcd(den, *row.values())
+            hit = self._rows[a] = ({f: c // g for f, c in row.items()}, den // g)
+        return hit
 
     def split(self, vec, den):
         """(alpha, pre, pre_den) of the vector {index: int} / den, den > 0.

@@ -13,7 +13,8 @@ exterior algebra on n+2 odd generators, one per variable; this module
   * runs the homological-perturbation tree sum to transfer the product
     to A-infinity operations mu^k on the exterior basis {e_K}.  The
     tree sum runs on integer vectors over one denominator; only the
-    coefficients of mu^k are `Fraction`s.
+    coefficients of mu^k are `Fraction`s, read off the piece's
+    harmonic functional.
 
 Conventions, frozen after calibrating against the arity <= 4 Stasheff
 identities at n = 1:
@@ -278,11 +279,25 @@ class _Engine:
         return {m: c for m, c in acc.items() if c}, den
 
     def mu(self, masks):
+        """The harmonic coefficient of lambda_k, as {K0: coef} or {}.
+
+        On a piece with cohomology it is read off the contraction's
+        `functional`; elsewhere the full split runs, for its checks.
+        """
         lam, den = self.tree_sum(masks)
         if not lam:
             return {}
-        alpha, _, _ = self.split(lam, den, self.lambda_key(masks))
-        return alpha
+        key = self.lambda_key(masks)
+        con, harm_mask, index, _ = self.piece(key)
+        if harm_mask is None:
+            return self.split(lam, den, key)[0]
+        row, rden = con.functional()
+        num = 0
+        for m, c in lam.items():
+            f = row.get(index[m])
+            if f:
+                num += f * c
+        return {harm_mask: Fraction(num, rden * den)} if num else {}
 
 
 def _parity(masks):

@@ -14,6 +14,7 @@ import pytest
 from koszulmf import cli, minimal, weyl
 from koszulmf.cli import main
 from koszulmf.weyl import delta_terms
+from test_minimal import _doubled_columns
 
 
 # child processes import the package from where this process found it,
@@ -212,16 +213,7 @@ def test_mf_check_reports_d_squared_nonzero_in_a_piece(capsys, monkeypatch,
     # one entry doubled in the first multi-entry column of every piece's
     # D * d: the pieces then fail d o d = 0, a failed check (exit 1 with
     # the full report), not a usage error
-    def doubled(basis, index, cfg):
-        cols = weyl.differential_columns(basis, index, cfg)
-        for col in cols:
-            if len(col) > 1:
-                row = next(iter(col))
-                col[row] *= 2
-                break
-        return cols
-
-    monkeypatch.setattr(minimal, "differential_columns", doubled)
+    monkeypatch.setattr(minimal, "differential_columns", _doubled_columns)
     code, out, err = run_cli(["mf-check", "--n", "1"], capsys)
     assert code == 1
     res = report(out)["results"]
@@ -229,6 +221,18 @@ def test_mf_check_reports_d_squared_nonzero_in_a_piece(capsys, monkeypatch,
     assert res["pass"] is False
     assert None in [dim for _, dim in res["piece_dims"]]
     assert "FAIL" in err and "error" not in err
+
+
+def test_minimal_model_exits_3_when_maps_do_not_compose_to_zero(
+        capsys, monkeypatch, fresh_tables):
+    # the same corrupted D * d in minimal-model: a contraction's
+    # d_out o d_in != 0 check fails, an internal error naming the piece
+    monkeypatch.setattr(minimal, "differential_columns", _doubled_columns)
+    code, out, err = run_cli(["minimal-model", "--n", "1"], capsys)
+    assert code == 3
+    assert out == ""
+    assert re.search(r"internal error: RuntimeError: piece .*: "
+                     r"d_out o d_in != 0", err)
 
 
 def test_morse_and_coamoeba_and_pearl(capsys):

@@ -379,19 +379,20 @@ def test_homology_rejects_non_complex():
         homology_ranks([2, 1], [_identity(2)])  # a row outside the target
 
 
-def _random_complex(seed):
-    """Three-term complex with d1 o d0 = 0 and rank(d0) = 2: (dims, maps)."""
+def _random_complex(seed, dims=(3, 4, 2), rank=2):
+    """Three-term complex with d1 o d0 = 0 and rank(d0) = rank: (dims, maps)."""
     rng = random.Random(seed)
+    lo, mid, hi = dims
     while True:
-        d0 = _random_matrix(rng, 4, 3, density=0.8)
-        if len(LinSolver(d0).pivots) == 2:
+        d0 = _random_matrix(rng, mid, lo, density=0.8)
+        if len(LinSolver(d0).pivots) == rank:
             break
     # Rows of d1 are combinations of the cokernel of d0.
-    coker = list(_kernel(LinSolver(_transpose(d0, 4))).values())
+    coker = list(_kernel(LinSolver(_transpose(d0, mid))).values())
     rows = compose(coker, [
-        {k: F(rng.randint(-2, 2)) for k in range(len(coker))} for _ in range(2)
+        {k: F(rng.randint(-2, 2)) for k in range(len(coker))} for _ in range(hi)
     ])
-    return [3, 4, 2], [d0, _transpose(rows, 4)]
+    return list(dims), [d0, _transpose(rows, mid)]
 
 
 def contraction_parts(con, harmonic, dim):
@@ -472,14 +473,50 @@ def test_contraction_rejects_dependent_columns():
         ([{0: 1}, {1: 1}], zero2, [{0: F(1), 1: F(1)}], "dependent"),
         ([], [{0: 1}, {}], [{0: F(1)}], "not a cocycle"),
         ([{0: 1}], zero2, [], "columns for cohomology of rank 1"),  # too few
+        # d_out o d_in != 0: the cycle e_1 would be outside the span of
+        # d_in's e_0, the one case in which split could not decompose it
+        ([{0: 1}], [{0: 1}, {}], [], "d_out o d_in != 0"),
     ]
     for d_in, d_out, harmonic, match in bad:
         with pytest.raises(ValueError, match=match):
             Contraction(d_in, d_out, harmonic, 1)
-    # d_out o d_in != 0: the cycle e_1 is outside the span of d_in's e_0
-    con = Contraction([{0: 1}], [{0: 1}, {}], [], 1)
-    with pytest.raises(ValueError):
-        _split(con, {1: F(1)})
+
+
+@pytest.mark.parametrize("seed, dims, rank", [
+    (7, (3, 4, 2), 2), (19, (3, 4, 2), 2), (5, (6, 14, 5), 6),
+    (23, (9, 14, 3), 9), (31, (4, 12, 10), 4),
+])
+def test_functional_matches_split(seed, dims, rank):
+    # alpha_a read off functional(a) equals split's alpha_a on every unit
+    # vector and on random integer vectors over a denominator, in every
+    # degree of a random complex (padded by a zero space at each end)
+    rng = random.Random(seed)
+    dims, maps = _random_complex(seed, dims, rank)
+    maps = [[]] + maps + [[{}] * dims[-1]]
+    dims = [0] + dims + [0]
+    nharm = 0
+    for k, dim in enumerate(dims):
+        d_in = maps[k - 1] if k else []
+        d_out = maps[k] if k < len(maps) else [{}] * dim
+        kernel = list(_kernel(LinSolver(d_out)).values())
+        harmonic = _pick_harmonic(d_in, kernel)
+        con = Contraction(d_in, d_out, harmonic, 1)
+        nharm += con.nharm
+        vecs = [({j: 1}, 1) for j in range(dim)] + [
+            ({j: rng.randint(-9, 9) for j in range(dim)}, rng.randint(1, 12))
+            for _ in range(10)
+        ]
+        for vec, den in vecs:
+            alpha = con.split(vec, den)[0]
+            for a in range(con.nharm):
+                row, rden = con.functional(a)
+                assert rden > 0 and gcd(rden, *row.values()) == 1
+                dot = sum(c * row.get(j, 0) for j, c in vec.items())
+                assert F(dot, rden * den) == alpha[a]
+        # built once: the row is kept with the contraction
+        assert all(con.functional(a) is con.functional(a)
+                   for a in range(con.nharm))
+    assert nharm == sum(homology_ranks(dims[1:-1], maps[1:-1]))
 
 
 def test_linsolver_roundtrip():

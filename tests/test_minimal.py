@@ -8,8 +8,9 @@ from math import gcd
 
 import pytest
 
+from koszulmf import minimal
 from koszulmf.lattice import LatticeClass, from_elements, size
-from koszulmf.linalg import compose, homology_ranks
+from koszulmf.linalg import Contraction, compose, homology_ranks
 from koszulmf.minimal import (
     _Engine,
     _cached_engine,
@@ -331,6 +332,26 @@ def test_piece_rejects_corrupted_representative():
             eng.piece(key)
 
 
+def _doubled_columns(basis, index, cfg):
+    """D * d with one entry doubled in the first multi-entry column."""
+    cols = differential_columns(basis, index, cfg)
+    for col in cols:
+        if len(col) > 1:
+            col[next(iter(col))] *= 2
+            break
+    return cols
+
+
+def test_piece_rejects_maps_that_do_not_compose_to_zero(monkeypatch):
+    # the contraction checks d_out o d_in = 0 itself, so the engine's
+    # functional never meets a cycle it cannot decompose
+    monkeypatch.setattr(minimal, "differential_columns", _doubled_columns)
+    eng, key, _, _ = _engine_at(0b011)
+    with pytest.raises(RuntimeError,
+                       match=re.escape(f"piece {key}: d_out o d_in != 0")):
+        eng.piece(key)
+
+
 def test_engine_contraction_identities():
     # the contraction the transfer uses, on every piece an n=1 model to
     # arity 4 builds and on three exterior pieces
@@ -401,6 +422,74 @@ def _built_engine(cfg, arities):
     maps, bases = _maps_and_bases(eng)
     assert (len(eng._pieces), len(maps), len(bases)) == BUILD_COUNTS[cfg]
     return eng, maps, bases
+
+
+ORACLE_RUNS = [(cfg, arities) for cfg, arities, _ in BUILDS] + [
+    (MFConfig(3), None),  # mu^5 on the 120 orderings of the singletons
+]
+
+
+@pytest.mark.parametrize("cfg, arities", ORACLE_RUNS)
+def test_mu_functional_matches_split(cfg, arities):
+    # on every mu call, alpha read off the piece's functional equals the
+    # alpha of the full split of the same tree sum
+    n = cfg.n
+    eng = _Engine(cfg, CohomologyBasisChoice.default(n))
+    if arities is None:
+        tuples = list(permutations([1 << i for i in range(n + 2)]))
+    else:
+        tuples = [tup for k in arities
+                  for tup in admissible_tuples(n, k, (k - 2) // n)]
+    nonzero = 0
+    for tup in tuples:
+        got = eng.mu(tup)
+        lam, den = eng.tree_sum(tup)
+        want = eng.split(lam, den, eng.lambda_key(tup))[0] if lam else {}
+        assert got == want, tup
+        nonzero += bool(got)
+    assert nonzero
+
+
+def test_mu_splits_only_blocks_and_pieces_without_cohomology(monkeypatch):
+    # a fresh n=2 build splits only its blocks (1,138 calls) and reads mu
+    # from a functional built once on each of the 16 pieces mu lands on;
+    # tuples landing in pieces without cohomology still run the full split
+    counts = {"split": 0, "after_tree_sum": 0, "mu": 0, "functional": 0}
+    split, tree_sum, mu = Contraction.split, _Engine.tree_sum, _Engine.mu
+    functional = Contraction.functional
+
+    def counted_split(self, vec, den):
+        counts["split"] += 1
+        return split(self, vec, den)
+
+    def counted_tree_sum(self, masks):
+        out = tree_sum(self, masks)
+        counts["after_tree_sum"] = counts["split"]
+        return out
+
+    def counted_mu(self, masks):
+        out = mu(self, masks)
+        counts["mu"] += counts["split"] - counts["after_tree_sum"]
+        return out
+
+    def counted_functional(self, a=0):
+        counts["functional"] += self._rows[a] is None
+        return functional(self, a)
+
+    monkeypatch.setattr(Contraction, "split", counted_split)
+    monkeypatch.setattr(Contraction, "functional", counted_functional)
+    monkeypatch.setattr(_Engine, "tree_sum", counted_tree_sum)
+    monkeypatch.setattr(_Engine, "mu", counted_mu)
+    n = 2
+    eng = _Engine(MFConfig(n), CohomologyBasisChoice.default(n))
+    for k in (2, 4):
+        for tup in admissible_tuples(n, k, (k - 2) // n):
+            eng.mu(tup)
+    assert counts == {"split": 1138, "after_tree_sum": 1138, "mu": 0,
+                      "functional": 16}
+    for tup in admissible_tuples(n, 3, 1):  # arity 3: no cohomology
+        assert eng.mu(tup) == {}
+    assert counts["mu"] > 0 and counts["functional"] == 16
 
 
 @pytest.mark.parametrize("cfg, arities, scale", BUILDS)
