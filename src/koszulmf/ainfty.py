@@ -112,21 +112,28 @@ class FiniteAInftyAlgebra:
         return len(self.basis)
 
     def validate_graded(self):
-        """Weight additivity and Q-degree 2-k on every stored entry."""
+        """Weight additivity and Q-degree 2-k on every stored entry.
+
+        Runs on integers: the weights' representatives are summed as
+        vectors, and the degrees are scaled by the lcm of their
+        denominators.
+        """
         if self.weight is None or self.qdeg is None:
             raise ValueError("algebra carries no weight/degree data")
+        reps = {x: w.rep for x, w in self.weight.items()}
+        scale = lcm(*(q.denominator for q in self.qdeg.values()))
+        qint = {x: q.numerator * (scale // q.denominator)
+                for x, q in self.qdeg.items()}
         for k, table in self.ops.items():
+            shift = (2 - k) * scale
             for (out, ins), coef in table.items():
                 if not coef:
                     continue
-                w = self.weight[ins[0]]
-                q = self.qdeg[ins[0]]
-                for x in ins[1:]:
-                    w = w + self.weight[x]
-                    q = q + self.qdeg[x]
-                if self.weight[out] != w:
+                w = [sum(col) for col in zip(*(reps[x] for x in ins))]
+                low = min(w)
+                if tuple(v - low for v in w) != reps[out]:
                     raise ValueError(f"weight not additive on {ins} -> {out}")
-                if self.qdeg[out] != q + 2 - k:
+                if qint[out] != sum(qint[x] for x in ins) + shift:
                     raise ValueError(f"degree of mu^{k} is not 2-{k} on {ins}")
 
 

@@ -5,12 +5,15 @@ columns, one dict {row: value} per column, with `int` or
 `fractions.Fraction` values; `compose` multiplies two of them.
 
 There is one elimination kernel, `LinSolver`: incremental elimination
-over columns in their given order.  One pass gives the independent
-columns and the canonical kernel; `homology_ranks` is built on it.  It
-accepts `int` or `Fraction` columns and eliminates on integers
-(fraction-free).  There is one contraction, `Contraction`, the
+over columns in their given order, one `add` per column.  One pass gives
+the independent columns and the canonical kernel; `homology_ranks` is
+built on it.  It accepts `int` or `Fraction` columns and eliminates on
+integers (fraction-free).  There is one contraction, `Contraction`, the
 per-degree splitting of `minimal`'s transfer, built and checked from the
-maps into and out of its degree; its `split` reduces integer vectors by
+maps into and out of its degree.  It eliminates the map into its degree
+and then its harmonic columns in one solver, which the degree below can
+reuse as the map out of it, so a map shared by two contracted degrees
+need not be eliminated twice.  Its `split` reduces integer vectors by
 the same elimination and makes `Fraction`s only for harmonic parts.
 """
 
@@ -68,57 +71,93 @@ def homology_ranks(dims, maps):
 
 
 class LinSolver:
-    """Exact incremental elimination over a fixed list of sparse columns.
+    """Exact incremental elimination over a list of sparse columns.
 
-    Columns are taken in the given order.  Each one is reduced against
-    the stored columns in the order they were stored, and is then stored
-    itself; stored columns are never touched again.  A column that
-    reduces to zero depends on the earlier ones, and its expression in
-    them is kept as a kernel vector: 1 at its own index, support
-    otherwise on earlier independent columns.
+    Columns are taken in the given order, and `add` takes further ones
+    after them.  Each one is reduced against the stored columns in the
+    order they were stored, and is then stored itself; stored columns are
+    never touched again.  A column that reduces to zero depends on the
+    earlier ones, and its expression in them is kept as a kernel vector:
+    1 at its own index, support otherwise on earlier independent columns.
 
     pivots lists the independent columns and kernel_ints maps each
     dependent column to its kernel vector, both in ascending order; a
     kernel vector is a primitive integer vector, positive at its own
-    column.  Right-hand sides are reduced by `Contraction.split`, which
-    runs the same elimination (`_eliminate`) on them.
+    column.  `kernel` rebuilds the kernel vectors of a leading run of
+    columns after kernel_ints has been cleared.  Right-hand sides are
+    reduced by `Contraction.split`, which runs the same elimination
+    (`_eliminate`) on them.
 
     The elimination is fraction-free.  The columns are scaled once by the
-    lcm of their denominators.  A column u with entry x at the
-    pivot row of a stored column v, whose entry there is p, becomes
-    (p/g) u - (x/g) v with g = gcd(p, x), and its expression in the
-    scaled columns follows along.  A column is stored with its expression
-    divided by their common content and signed so that its pivot entry,
-    at its smallest row, is positive.  Every vector is then a nonzero
-    multiple of the one elimination over Q would store, so the pivots and
-    the kernel's lines are exactly those of it; `Fraction`s are made only
-    in `Contraction.split`, for the harmonic coefficients.
+    lcm of their denominators; `add` takes a column already scaled.  A
+    column u with entry x at the pivot row of a stored column v, whose
+    entry there is p, becomes (p/g) u - (x/g) v with g = gcd(p, x), and
+    its expression in the scaled columns follows along.  A column is
+    stored with its expression divided by their common content and signed
+    so that its pivot entry, at its largest row, is positive.  Every
+    vector is then a nonzero multiple of the one elimination over Q would
+    store, so the pivots and the kernel's lines are exactly those of it;
+    `Fraction`s are made only in `Contraction.split`, for the harmonic
+    coefficients.  Which nonzero row is a column's pivot changes none of
+    the outputs.  The largest one leaves later D * d columns with fewer
+    entries at stored pivot rows than the smallest: a fresh n=2 build
+    applies 19,781 steps instead of 27,810.
     """
 
-    __slots__ = ("pivots", "kernel_ints", "_scale", "_steps", "_where")
+    __slots__ = ("pivots", "kernel_ints", "_ncols", "_scale", "_steps", "_where")
 
     def __init__(self, columns):
         self.pivots = []
+        self.kernel_ints = {}
+        self._ncols = 0
         self._scale = scale = lcm(
             *(v.denominator for col in columns for v in col.values())
         )
         # (pivot row, scaled column, its expression in the scaled columns)
         self._steps = []
         self._where = {}  # pivot row -> its step's position in _steps
-        self.kernel_ints = {}
+        for col in columns:
+            self.add(_scaled(col, scale))
+
+    def add(self, vec):
+        """Reduce the next column, {row: int} in the scaled units, and store it.
+
+        The column gets the next index.  Returns True when it is
+        independent of the stored columns; a dependent one gets its kernel
+        vector in kernel_ints instead.  vec is reduced in place.
+        """
+        idx = self._ncols
+        self._ncols += 1
+        expr = {idx: 1}
+        self._eliminate(vec, expr)
+        if not vec:
+            self.kernel_ints[idx] = _primitive(vec, expr, expr[idx])[1]
+            return False
+        prow = max(vec)
+        vec, expr = _primitive(vec, expr, vec[prow])
+        self._where[prow] = len(self._steps)
+        self._steps.append((prow, vec, expr))
+        self.pivots.append(idx)
+        return True
+
+    def kernel(self, columns):
+        """The kernel vectors of the first len(columns) columns, which were
+        added as `columns`, as kernel_ints has them; it may have been cleared.
+
+        Only the dependent columns are reduced again.  The stored steps are
+        visited in storage order, and a dependent column is zero before the
+        first step stored after it, so each comes out as `add` left it.
+        """
+        pivots = set(self.pivots)
+        kernel = {}
         for idx, col in enumerate(columns):
-            vec = {r: v.numerator * (scale // v.denominator)
-                   for r, v in col.items() if v}
-            expr = {idx: 1}
-            self._eliminate(vec, expr)
-            if vec:
-                prow = min(vec)
-                vec, expr = _primitive(vec, expr, vec[prow])
-                self._where[prow] = len(self._steps)
-                self._steps.append((prow, vec, expr))
-                self.pivots.append(idx)
-            else:
-                self.kernel_ints[idx] = _primitive(vec, expr, expr[idx])[1]
+            if idx not in pivots:
+                vec, expr = _scaled(col, self._scale), {idx: 1}
+                self._eliminate(vec, expr)
+                if vec:
+                    raise ValueError(f"column {idx} is not the one stored")
+                kernel[idx] = _primitive(vec, expr, expr[idx])[1]
+        return kernel
 
     def _eliminate(self, vec, expr):
         """Reduce the integer vector vec against the stored columns, in place.
@@ -130,8 +169,9 @@ class LinSolver:
 
         A stored column is zero at every earlier pivot row, so a step can
         only put entries at later ones; a heap of the pending pivot rows'
-        step numbers visits exactly the steps a scan in storage order
-        would act on, in that order.
+        step numbers, each pushed when vec gets an entry at its row,
+        visits exactly the steps a scan in storage order would act on, in
+        that order.
         """
         steps = self._steps
         where = self._where
@@ -146,23 +186,38 @@ class LinSolver:
             last = k
             prow, col, cexpr = steps[k]
             x = vec.get(prow)
-            if x:
-                p = col[prow]
+            if not x:
+                continue
+            p = col[prow]
+            if x % p:
                 g = gcd(p, x)
-                if g != p:
-                    a = p // g
-                    m *= a
-                    for r in vec:
-                        vec[r] *= a
-                    for i in expr:
-                        expr[i] *= a
+                a = p // g
+                m *= a
+                for r in vec:
+                    vec[r] *= a
+                for i in expr:
+                    expr[i] *= a
                 b = x // g
-                _axpy(vec, col, -b)
-                _axpy(expr, cexpr, -b)
-                for r in col:
+            else:
+                b = x // p
+            # vec -= b * col and expr -= b * cexpr, as `_axpy` does
+            for r, v in col.items():
+                old = vec.get(r)
+                if old is None:
+                    vec[r] = -b * v
                     j = where.get(r)
                     if j is not None and j > k:
                         heappush(todo, j)
+                elif old == b * v:
+                    del vec[r]
+                else:
+                    vec[r] = old - b * v
+            for i, v in cexpr.items():
+                v = expr.get(i, 0) - b * v
+                if v:
+                    expr[i] = v
+                else:
+                    del expr[i]
         return m
 
 
@@ -170,7 +225,8 @@ class Contraction:
     """Contraction of one degree of a bounded cochain complex onto its cohomology.
 
     d_in and d_out are the columns of scale * d into and out of the
-    degree, and harmonic its cohomology representatives.  A vector x is
+    degree, and harmonic its cohomology representatives, each given as
+    integer terms over a denominator, ({row: int}, den).  A vector x is
     projected onto ker(d_out) along the standard basis vectors at d_out's
     pivot columns (the complement), and that cycle is written as
 
@@ -183,6 +239,15 @@ class Contraction:
     p i = 1, d h + h d = 1 - i p and h i = p h = h h = 0 hold by
     construction (Crainic, arXiv math/0403266); tests check them.  split
     eliminates on integers and makes `Fraction`s only for alpha.
+
+    One solver, `solver`, eliminates d_in and then the harmonic columns.
+    With the harmonic columns last, d_in's pivots and the solver's scale
+    are those of d_in alone, and since the decomposition above is unique
+    the order does not change split's outputs.  The degree one down, whose
+    d_out is this d_in, may pass `solver` as its `out` instead of
+    eliminating the same map again: only out's first len(d_out) columns
+    are read, and their kernel is rebuilt from its steps.  Without `out`,
+    d_out is eliminated here for its kernel and then dropped.
 
     functional(a) gives alpha_a as one exact row: zero at d_out's pivot
     columns, zero on every d_in column and 1 on harmonic_a, so that
@@ -197,26 +262,29 @@ class Contraction:
     rules out.
     """
 
-    __slots__ = ("nharm", "scale", "_cycles", "_den", "_solver", "_rows")
+    __slots__ = ("nharm", "scale", "solver", "_nin", "_hden", "_cycles",
+                 "_den", "_rows")
 
-    def __init__(self, d_in, d_out, harmonic, scale):
+    def __init__(self, d_in, d_out, harmonic, scale, out=None):
         if any(compose(d_out, d_in)):
             raise ValueError("d_out o d_in != 0")
-        if any(compose(d_out, harmonic)):
+        if any(compose(d_out, [terms for terms, _ in harmonic])):
             raise ValueError("a harmonic column is not a cocycle")
         self.nharm = nharm = len(harmonic)
         self.scale = scale
-        self._solver = solver = LinSolver(list(harmonic) + list(d_in))
-        # a kernel vector with a harmonic coefficient is a dependence
-        if any(min(vec) < nharm for vec in solver.kernel_ints.values()):
-            raise ValueError("harmonic and image columns are dependent")
-        solver.kernel_ints.clear()  # d_in's kernel: split does not read it
-        out = LinSolver(d_out)
-        hdim = len(d_out) - len(out.pivots) - (len(solver.pivots) - nharm)
+        self._nin = len(d_in)
+        self._hden = [den for _, den in harmonic]
+        self.solver = solver = LinSolver(d_in)
+        rank_in = len(solver.pivots)
+        solver.kernel_ints.clear()  # d_in's kernel: out.kernel rebuilds it
+        for terms, _ in harmonic:
+            if not solver.add(_scaled(terms, solver._scale)):
+                raise ValueError("harmonic and image columns are dependent")
+        kernel = LinSolver(d_out).kernel_ints if out is None else out.kernel(d_out)
+        hdim = len(kernel) - rank_in
         if hdim != nharm:
             raise ValueError(
                 f"{nharm} harmonic columns for cohomology of rank {hdim}")
-        kernel = out.kernel_ints
         # (vec, mult): mult * vec is _den times the kernel vector normalized at f
         self._den = den = lcm(*(vec[f] for f, vec in kernel.items()))
         self._cycles = {f: (vec, den // vec[f]) for f, vec in kernel.items()}
@@ -226,7 +294,8 @@ class Contraction:
         """alpha_a as (row, den): {column: int} / den, den > 0, content-reduced.
 
         On a cycle y = sum_k t_k vec_k of the stored steps, alpha_a(y) =
-        sum_k t_k g_k with g_k = scale * expr_k[a].  Each step is zero at
+        sum_k t_k g_k with g_k = scale * den_a * expr_k[nin + a]: harmonic_a
+        was stored as scale * den_a * harmonic_a.  Each step is zero at
         every earlier pivot row, so L[i][k] = vec_k[prow_i] is lower
         triangular and t = L^-1 y at the pivot rows; alpha_a(y) = psi . y
         with L^T psi = g, solved by one pass over the steps in reverse.
@@ -235,10 +304,11 @@ class Contraction:
         """
         hit = self._rows[a]
         if hit is None:
-            solver = self._solver
+            solver = self.solver
+            hcol, hnum = self._nin + a, solver._scale * self._hden[a]
             psi, pden = {}, 1  # psi[prow] / pden
             for prow, vec, expr in reversed(solver._steps):
-                s = solver._scale * expr.get(a, 0) * pden
+                s = hnum * expr.get(hcol, 0) * pden
                 for r, v in vec.items():
                     if r in psi:  # only later steps' pivot rows are set
                         s -= v * psi[r]
@@ -275,22 +345,27 @@ class Contraction:
                 kvec, mult = hit
                 _axpy(cycle, kvec, mult * c)
         combo = {}
-        m = self._solver._eliminate(cycle, combo) * den * self._den
+        m = self.solver._eliminate(cycle, combo) * den * self._den
         if cycle:
             raise ValueError("cycle failed to decompose")
-        num = -self._solver._scale
-        nharm = self.nharm
-        harm = [ZERO] * nharm
+        num = -self.solver._scale
+        nin = self._nin
+        harm = [ZERO] * self.nharm
         pre = {}
         for i in sorted(combo):
-            if i < nharm:
-                harm[i] = Fraction(combo[i] * num, m)
+            if i < nin:
+                pre[i] = combo[i] * num * self.scale
             else:
-                pre[i - nharm] = combo[i] * num * self.scale
+                harm[i - nin] = Fraction(combo[i] * num * self._hden[i - nin], m)
         g = gcd(m, *pre.values())
         if g != 1:
             pre = {src: v // g for src, v in pre.items()}
         return harm, pre, m // g
+
+
+def _scaled(col, scale):
+    """The column {row: int or Fraction} times scale, as {row: int}, without zeros."""
+    return {r: v.numerator * (scale // v.denominator) for r, v in col.items() if v}
 
 
 def _primitive(vec, expr, lead):

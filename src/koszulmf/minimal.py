@@ -9,7 +9,8 @@ exterior algebra on n+2 odd generators, one per variable; this module
   * contracts every piece it touches onto its cohomology, lazily, with
     one `linalg.Contraction` per piece, built from the piece's D * d
     columns in and out (the harmonic line is spanned by the dbar product
-    of its exterior label; the contraction checks that it spans),
+    of its exterior label; the contraction checks that it spans); a map
+    into a piece already contracted is not eliminated again,
   * runs the homological-perturbation tree sum to transfer the product
     to A-infinity operations mu^k on the exterior basis {e_K}.  The
     tree sum runs on integer vectors over one denominator; only the
@@ -174,19 +175,35 @@ class _Engine:
         None), index its row index {monomial: row} and below the basis of
         the piece one degree down, the rows of `split`'s h.  The bases
         and D * d columns the contraction is built from are not kept.
+
+        When the piece one degree up has a record, its `below` is this
+        piece's basis, its index the rows of this piece's D * d, and its
+        contraction's solver has eliminated that map already; the
+        contraction reuses it.  Otherwise it eliminates the map and drops
+        the solver.
         """
         hit = self._pieces.get(key)
         if hit is None:
-            (below, _, _), index, (d_in, d_out) = _complex(key, self.cfg)
+            cfg = self.cfg
+            wrep, qnum = key
+            up = self._pieces.get((wrep, qnum + self.step))
+            if up is None:
+                (below, _, _), index, (d_in, d_out) = _complex(key, cfg)
+                out = None
+            else:
+                up_con, _, rows, basis = up
+                out = up_con.solver
+                below = _basis(wrep, qnum - self.step, cfg)
+                index = {m: i for i, m in enumerate(basis)}
+                d_in = differential_columns(below, index, cfg)
+                d_out = differential_columns(basis, rows, cfg)
             harm_mask = self.exterior_label(key)
             harmonic = []
             if harm_mask is not None:
                 terms, den = self.block((harm_mask,))
-                harmonic.append(
-                    {index[m]: Fraction(c, den) for m, c in terms.items()}
-                )
+                harmonic.append(({index[m]: c for m, c in terms.items()}, den))
             try:
-                con = Contraction(d_in, d_out, harmonic, self.scale)
+                con = Contraction(d_in, d_out, harmonic, self.scale, out)
             except ValueError as exc:
                 raise RuntimeError(f"piece {key}: {exc}") from exc
             hit = (con, harm_mask, index, below)
@@ -215,17 +232,21 @@ class _Engine:
     # -- transfer tree sum --------------------------------------------
 
     def lambda_key(self, masks):
-        """Piece of the raw tree sum lambda over this argument block."""
-        wvec = [0] * self.step
-        qnum = 0
+        """Piece of the raw tree sum lambda over this argument block.
+
+        Its weight is the class of minus the masks' multiplicity vector c,
+        represented by max(c) - c.
+        """
+        counts = [0] * self.step
         for mask in masks:
-            for i in range(self.step):
-                if mask >> i & 1:
-                    wvec[i] -= 1
-            qnum += self.n * size(mask)
+            while mask:
+                low = mask & -mask
+                counts[low.bit_length() - 1] += 1
+                mask ^= low
+        top = max(counts)
         return (
-            LatticeClass(tuple(wvec)).rep,
-            qnum - (len(masks) - 2) * self.step,
+            tuple([top - c for c in counts]),
+            self.n * sum(counts) - (len(masks) - 2) * self.step,
         )
 
     def block(self, masks):
@@ -260,13 +281,17 @@ class _Engine:
         Returns (terms, den) with {monomial: int} terms and den the lcm of
         the products of the two blocks' denominators over the splits.
         """
+        blocks = self._blocks
         cuts = []
         den = 1
         for cut in range(1, len(masks)):
+            head = masks[:cut]
+            left, lden = blocks.get(head) or self.block(head)
+            if not left:
+                continue
             tail = masks[cut:]
-            left, lden = self.block(masks[:cut])
-            right, rden = self.block(tail)
-            if not left or not right:
+            right, rden = blocks.get(tail) or self.block(tail)
+            if not right:
                 continue
             cuts.append((left, right, lden * rden, _parity(tail)))
             den = lcm(den, lden * rden)
@@ -302,7 +327,7 @@ class _Engine:
 
 def _parity(masks):
     """Parity of a block over masks: sum |K_i| + k - 1 (mod 2)."""
-    return (sum(map(size, masks)) + len(masks) - 1) & 1
+    return (sum(map(int.bit_count, masks)) + len(masks) - 1) & 1
 
 
 def _engine(cfg, choice):
@@ -322,6 +347,11 @@ def _cached_engine(cfg, choice):
     return _Engine(cfg, choice)
 
 
+def _basis(wrep, qnum, cfg):
+    """`bigraded_basis` of the piece (wrep, qnum), qnum the degree times n+2."""
+    return bigraded_basis(LatticeClass(wrep), Fraction(qnum, cfg.nvars), cfg)
+
+
 def _complex(key, cfg):
     """The pieces one degree below, at and above key, and D * d between them.
 
@@ -331,9 +361,7 @@ def _complex(key, cfg):
     """
     wrep, qnum = key
     step = cfg.nvars
-    w = LatticeClass(wrep)
-    bases = [bigraded_basis(w, Fraction(qnum + i * step, step), cfg)
-             for i in (-1, 0, 1)]
+    bases = [_basis(wrep, qnum + i * step, cfg) for i in (-1, 0, 1)]
     index, above = ({m: i for i, m in enumerate(b)} for b in bases[1:])
     maps = [differential_columns(bases[0], index, cfg),
             differential_columns(bases[1], above, cfg)]

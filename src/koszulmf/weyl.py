@@ -231,10 +231,13 @@ def _clifford_entry(l1, l2, nvars):
     key = l1 << 2 * nvars | l2
     terms = memo.get(key)
     if terms is None:
-        pool = _clifford_pool(nvars)
-        pairs = [(low - l2, sign) for low, sign in clifford_product(l1, l2, nvars)]
-        terms = tuple(pool.setdefault(p, p) for p in pairs)
-        terms = memo[key] = pool.setdefault(terms, terms)
+        terms = clifford_product(l1, l2, nvars)
+        if terms:  # () is a single object already
+            pool = _clifford_pool(nvars)
+            terms = tuple([pool.setdefault(p, p) for p in
+                           [(low - l2, sign) for low, sign in terms]])
+            terms = pool.setdefault(terms, terms)
+        memo[key] = terms
     return terms
 
 

@@ -117,6 +117,26 @@ def test_model_passes_stasheff(alg_n1):
     assert check_stasheff(alg_n1, 5) == []
 
 
+@pytest.mark.parametrize("k", [2, 4])
+def test_validate_graded_rejects_a_moved_output_and_a_shifted_degree(alg_n1, k):
+    (out, ins), coef = next(
+        (key, c) for key, c in alg_n1.ops[k].items() if c
+    )
+
+    def with_entry(key, qdeg):
+        return FiniteAInftyAlgebra(alg_n1.basis, alg_n1.zdeg, {k: {key: coef}},
+                                   alg_n1.weight, qdeg)
+
+    with_entry((out, ins), alg_n1.qdeg).validate_graded()
+    # one coordinate of the output's weight moves
+    with pytest.raises(ValueError, match="weight not additive"):
+        with_entry((out ^ 1, ins), alg_n1.qdeg).validate_graded()
+    shifted = dict(alg_n1.qdeg)
+    shifted[out] += Fraction(1, 3)
+    with pytest.raises(ValueError, match=f"degree of mu\\^{k} is not 2-{k}"):
+        with_entry((out, ins), shifted).validate_graded()
+
+
 # ------------------------------------------------- join oracles and pruning
 
 

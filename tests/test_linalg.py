@@ -11,6 +11,7 @@ from koszulmf.linalg import (
     Contraction,
     LinSolver,
     NotAComplex,
+    _axpy,
     compose,
     homology_ranks,
 )
@@ -121,6 +122,11 @@ def _split(con, vec):
     return alpha, {i: F(v, den) for i, v in pre.items()}
 
 
+def _contract(d_in, d_out, harmonic, out=None):
+    """`Contraction` at scale 1 with the harmonic columns given as vectors."""
+    return Contraction(d_in, d_out, [_int_vector(h) for h in harmonic], 1, out)
+
+
 def _solve(columns, rhs):
     """(coefficients, ok) of rhs over the columns, through `Contraction.split`.
 
@@ -132,7 +138,7 @@ def _solve(columns, rhs):
     """
     dim = 1 + max((r for col in [*columns, rhs] for r in col), default=-1)
     harmonic = _pick_harmonic(columns, _identity(dim))
-    con = Contraction(columns, [{}] * dim, harmonic, 1)
+    con = _contract(columns, [{}] * dim, harmonic)
     alpha, pre = _split(con, rhs)
     if any(alpha):
         return None, False
@@ -344,7 +350,7 @@ def test_linsolver_stores_primitive_integer_columns():
     for _ in range(60):
         solver = LinSolver(_random_dependent_columns(rng, 7, 10))
         for prow, col, expr in solver._steps:
-            assert prow == min(col) and col[prow] > 0
+            assert prow == max(col) and col[prow] > 0
             assert gcd(*col.values(), *expr.values()) == 1
             assert all(type(v) is int for v in (*col.values(), *expr.values()))
         for j, vec in solver.kernel_ints.items():
@@ -431,17 +437,22 @@ def _pick_harmonic(image, kernel):
 
 def _check_complex(dims, maps):
     """Contract every degree of the complex and check the identities; returns
-    the (i, p, h) per degree, padded by a zero space at each end."""
+    the (i, p, h) per degree, padded by a zero space at each end.
+
+    The degrees are contracted from the top down, each reusing the solver
+    of the one above for its outgoing map."""
     dims = [0] + dims + [0]
     maps = [[]] + maps + [[{}] * dims[-2]]
     parts = []
-    for k, dim in enumerate(dims):
+    out = None
+    for k in reversed(range(len(dims))):
         d_in = maps[k - 1] if k else []
-        d_out = maps[k] if k < len(maps) else [{}] * dim
+        d_out = maps[k] if k < len(maps) else [{}] * dims[k]
         kernel = list(_kernel(LinSolver(d_out)).values())
         harmonic = _pick_harmonic(d_in, kernel)
-        con = Contraction(d_in, d_out, harmonic, 1)
-        parts.append(contraction_parts(con, harmonic, dim))
+        con = _contract(d_in, d_out, harmonic, out)
+        out = con.solver
+        parts.insert(0, contraction_parts(con, harmonic, dims[k]))
     ranks = homology_ranks(dims[1:-1], maps[1:-1])
     assert [len(i) for i, _, _ in parts] == [0] + ranks + [0]
     for k in range(1, len(dims) - 1):
@@ -479,7 +490,7 @@ def test_contraction_rejects_dependent_columns():
     ]
     for d_in, d_out, harmonic, match in bad:
         with pytest.raises(ValueError, match=match):
-            Contraction(d_in, d_out, harmonic, 1)
+            _contract(d_in, d_out, harmonic)
 
 
 @pytest.mark.parametrize("seed, dims, rank", [
@@ -500,7 +511,7 @@ def test_functional_matches_split(seed, dims, rank):
         d_out = maps[k] if k < len(maps) else [{}] * dim
         kernel = list(_kernel(LinSolver(d_out)).values())
         harmonic = _pick_harmonic(d_in, kernel)
-        con = Contraction(d_in, d_out, harmonic, 1)
+        con = _contract(d_in, d_out, harmonic)
         nharm += con.nharm
         vecs = [({j: 1}, 1) for j in range(dim)] + [
             ({j: rng.randint(-9, 9) for j in range(dim)}, rng.randint(1, 12))
@@ -517,6 +528,146 @@ def test_functional_matches_split(seed, dims, rank):
         assert all(con.functional(a) is con.functional(a)
                    for a in range(con.nharm))
     assert nharm == sum(homology_ranks(dims[1:-1], maps[1:-1]))
+
+
+class TwoSolverContraction:
+    """`Contraction` as it was before its solver was shared: the oracle.
+
+    Harmonic columns ({row: Fraction}) are eliminated first, then d_in, in
+    one solver, and d_out in a second one for its kernel.  Only the parts
+    the comparison reads are kept: the kernel (`_cycles`, `_den`), split
+    and the functional.
+    """
+
+    def __init__(self, d_in, d_out, harmonic, scale):
+        if any(compose(d_out, d_in)):
+            raise ValueError("d_out o d_in != 0")
+        if any(compose(d_out, harmonic)):
+            raise ValueError("a harmonic column is not a cocycle")
+        self.nharm = nharm = len(harmonic)
+        self.scale = scale
+        self._solver = solver = LinSolver(list(harmonic) + list(d_in))
+        if any(min(vec) < nharm for vec in solver.kernel_ints.values()):
+            raise ValueError("harmonic and image columns are dependent")
+        out = LinSolver(d_out)
+        hdim = len(d_out) - len(out.pivots) - (len(solver.pivots) - nharm)
+        if hdim != nharm:
+            raise ValueError(
+                f"{nharm} harmonic columns for cohomology of rank {hdim}")
+        kernel = out.kernel_ints
+        self._den = den = lcm(*(vec[f] for f, vec in kernel.items()))
+        self._cycles = {f: (vec, den // vec[f]) for f, vec in kernel.items()}
+
+    def functional(self, a=0):
+        solver = self._solver
+        psi, pden = {}, 1
+        for prow, vec, expr in reversed(solver._steps):
+            s = solver._scale * expr.get(a, 0) * pden
+            for r, v in vec.items():
+                if r in psi:
+                    s -= v * psi[r]
+            if s:
+                p = vec[prow]
+                g = p // gcd(s, p)
+                if g != 1:
+                    pden *= g
+                    for r in psi:
+                        psi[r] *= g
+                    s *= g
+                psi[prow] = s // p
+        row = {}
+        for f, (kvec, mult) in self._cycles.items():
+            c = sum(v * psi[r] for r, v in kvec.items() if r in psi)
+            if c:
+                row[f] = c * mult
+        den = pden * self._den
+        g = gcd(den, *row.values())
+        return {f: c // g for f, c in row.items()}, den // g
+
+    def split(self, vec, den):
+        cycle = {}
+        for f, c in vec.items():
+            hit = self._cycles.get(f)
+            if hit is not None and c:
+                kvec, mult = hit
+                _axpy(cycle, kvec, mult * c)
+        combo = {}
+        m = self._solver._eliminate(cycle, combo) * den * self._den
+        if cycle:
+            raise ValueError("cycle failed to decompose")
+        num = -self._solver._scale
+        harm = [ZERO] * self.nharm
+        pre = {}
+        for i in sorted(combo):
+            if i < self.nharm:
+                harm[i] = F(combo[i] * num, m)
+            else:
+                pre[i - self.nharm] = combo[i] * num * self.scale
+        g = gcd(m, *pre.values())
+        if g != 1:
+            pre = {src: v // g for src, v in pre.items()}
+        return harm, pre, m // g
+
+
+def assert_matches_oracle(con, oracle, dim, rng):
+    """con and the two-solver oracle of the same degree agree: the same
+    kernel, split on every unit vector and on random integer vectors over a
+    denominator, and the same functional rows."""
+    assert con.nharm == oracle.nharm
+    assert (con._cycles, con._den) == (oracle._cycles, oracle._den)
+    vecs = [({j: 1}, 1) for j in range(dim)] + [
+        ({j: rng.randint(-9, 9) for j in rng.sample(range(dim), min(dim, 6))},
+         rng.randint(1, 12))
+        for _ in range(8)
+    ]
+    for vec, den in vecs:
+        assert con.split(vec, den) == oracle.split(vec, den)
+    for a in range(con.nharm):
+        assert con.functional(a) == oracle.functional(a)
+
+
+@pytest.mark.parametrize("seed, dims, rank", [
+    (7, (3, 4, 2), 2), (5, (6, 14, 5), 6), (23, (9, 14, 3), 9),
+])
+def test_contraction_matches_two_solver_oracle(seed, dims, rank):
+    # every degree of a random complex, contracted with its own d_out
+    # solver (bottom up) and with the solver of the degree above (top down)
+    rng = random.Random(seed)
+    dims, maps = _random_complex(seed, dims, rank)
+    maps = [[]] + maps + [[{}] * dims[-1]]
+    dims = [0] + dims + [0]
+    degrees = []
+    for k, dim in enumerate(dims):
+        d_in = maps[k - 1] if k else []
+        d_out = maps[k] if k < len(maps) else [{}] * dim
+        harmonic = _pick_harmonic(d_in, list(_kernel(LinSolver(d_out)).values()))
+        degrees.append((d_in, d_out, harmonic))
+    out = None
+    for k in reversed(range(len(dims))):
+        d_in, d_out, harmonic = degrees[k]
+        oracle = TwoSolverContraction(d_in, d_out, harmonic, 1)
+        for con in (_contract(d_in, d_out, harmonic),
+                    _contract(d_in, d_out, harmonic, out)):
+            assert_matches_oracle(con, oracle, dims[k], rng)
+        out = con.solver
+
+
+def test_linsolver_kernel_rebuilds_a_cleared_kernel():
+    rng = random.Random(3)
+    for _ in range(20):
+        cols = _random_dependent_columns(rng, 6, 9)
+        solver = LinSolver(cols)
+        want = dict(solver.kernel_ints)
+        solver.kernel_ints.clear()
+        solver.add({r: 1 for r in range(6)})  # a later column is not read
+        assert solver.kernel(cols) == want
+        # a column other than the one stored does not reduce to zero
+        if want:
+            j = next(iter(want))
+            bad = list(cols)
+            bad[j] = {r: F(1) for r in range(7)}
+            with pytest.raises(ValueError, match=f"column {j} is not"):
+                solver.kernel(bad)
 
 
 def test_linsolver_roundtrip():

@@ -10,7 +10,7 @@ import pytest
 
 from koszulmf import minimal
 from koszulmf.lattice import LatticeClass, from_elements, size
-from koszulmf.linalg import Contraction, compose, homology_ranks
+from koszulmf.linalg import Contraction, LinSolver, compose, homology_ranks
 from koszulmf.minimal import (
     _Engine,
     _cached_engine,
@@ -43,8 +43,8 @@ from koszulmf.weyl import (
 import operator_oracle as oracle
 from operator_oracle import OperatorElement, differential, unpacked
 from test_linalg import (
-    _add, _identity, _split, assert_contraction_identities,
-    contraction_parts,
+    TwoSolverContraction, _add, _identity, _split, assert_contraction_identities,
+    assert_matches_oracle, contraction_parts,
 )
 
 F = Fraction
@@ -453,10 +453,17 @@ def test_mu_functional_matches_split(cfg, arities):
 def test_mu_splits_only_blocks_and_pieces_without_cohomology(monkeypatch):
     # a fresh n=2 build splits only its blocks (1,138 calls) and reads mu
     # from a functional built once on each of the 16 pieces mu lands on;
-    # tuples landing in pieces without cohomology still run the full split
-    counts = {"split": 0, "after_tree_sum": 0, "mu": 0, "functional": 0}
+    # tuples landing in pieces without cohomology still run the full split.
+    # The build eliminates 154 maps for its 96 pieces: 38 reuse the solver
+    # of the piece above
+    counts = {"split": 0, "after_tree_sum": 0, "mu": 0, "functional": 0,
+              "LinSolver": 0}
     split, tree_sum, mu = Contraction.split, _Engine.tree_sum, _Engine.mu
-    functional = Contraction.functional
+    functional, solver = Contraction.functional, LinSolver.__init__
+
+    def counted_solver(self, columns):
+        counts["LinSolver"] += 1
+        solver(self, columns)
 
     def counted_split(self, vec, den):
         counts["split"] += 1
@@ -480,16 +487,39 @@ def test_mu_splits_only_blocks_and_pieces_without_cohomology(monkeypatch):
     monkeypatch.setattr(Contraction, "functional", counted_functional)
     monkeypatch.setattr(_Engine, "tree_sum", counted_tree_sum)
     monkeypatch.setattr(_Engine, "mu", counted_mu)
+    monkeypatch.setattr(LinSolver, "__init__", counted_solver)
     n = 2
     eng = _Engine(MFConfig(n), CohomologyBasisChoice.default(n))
     for k in (2, 4):
         for tup in admissible_tuples(n, k, (k - 2) // n):
             eng.mu(tup)
     assert counts == {"split": 1138, "after_tree_sum": 1138, "mu": 0,
-                      "functional": 16}
+                      "functional": 16, "LinSolver": 154}
+    assert len(eng._pieces) == 96
     for tup in admissible_tuples(n, 3, 1):  # arity 3: no cohomology
         assert eng.mu(tup) == {}
     assert counts["mu"] > 0 and counts["functional"] == 16
+
+
+def test_mu_contracts_no_piece_for_a_vanishing_tree_sum():
+    # some n=2 tuples have nonzero cuts whose products cancel; mu returns
+    # {} for them without contracting the piece lambda would land in
+    n = 2
+    cfg, choice = MFConfig(n), CohomologyBasisChoice.default(n)
+    eng = _Engine(cfg, choice)
+
+    def vanishes(eng, tup):
+        cuts = [c for c in range(1, len(tup))
+                if eng.block(tup[:c])[0] and eng.block(tup[c:])[0]]
+        return cuts and not eng.tree_sum(tup)[0]
+
+    tup = next(t for t in admissible_tuples(n, 4, 1) if vanishes(eng, t))
+    fresh = _Engine(cfg, choice)
+    assert vanishes(fresh, tup)
+    pieces = set(fresh._pieces)
+    assert fresh.mu(tup) == {}
+    assert set(fresh._pieces) == pieces
+    assert fresh.lambda_key(tup) not in pieces
 
 
 @pytest.mark.parametrize("cfg, arities, scale", BUILDS)
@@ -599,6 +629,25 @@ def test_blocks_match_reference(cfg, arities, scale):
         assert all(type(c) is int for c in terms.values())
         parity = (sum(map(size, masks)) + len(masks) - 1) % 2
         assert all(mono_parity(m, cfg.n) == parity for m in terms)
+
+
+@pytest.mark.parametrize("cfg, arities, scale", BUILDS)
+def test_piece_contractions_match_two_solver_oracle(cfg, arities, scale):
+    # every piece of the build, whether it reused the solver of the piece
+    # above or eliminated its outgoing map itself, against the two-solver
+    # contraction of the same maps: the same kernel, the same split on
+    # unit and random vectors, the same functional rows
+    eng, maps, _ = _built_engine(cfg, arities)
+    rng = random.Random(cfg.n)
+    for key, (con, harm_mask, index, _) in eng._pieces.items():
+        harmonic = []
+        if harm_mask is not None:
+            rep, den = dbar_product(harm_mask, eng.choice, cfg)
+            harmonic.append({index[m]: F(c, den) for m, c in rep.items()})
+        oracle = TwoSolverContraction(
+            maps[_shifted(eng, key, -1)], maps[key], harmonic, eng.scale
+        )
+        assert_matches_oracle(con, oracle, len(index), rng)
 
 
 def test_mu2_on_generators():
