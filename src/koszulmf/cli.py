@@ -160,13 +160,19 @@ def _load_model_file(path):
             qdeg[m] = Fraction(g["qdeg"])
             wt[m] = LatticeClass(g["weight"])
         for key, rows in doc["tables"].items():
+            arity = int(key)
+            if arity < 1:
+                raise ValueError(f"{path}: table mu^{key} has arity below 1")
             table = {}
             for out, ins, num, den in rows:
                 out, ins = from_elements(out), tuple(map(from_elements, ins))
+                if len(ins) != arity:
+                    raise ValueError(
+                        f"{path}: a mu^{key} row with {len(ins)} inputs")
                 if not zdeg.keys() >= {out, *ins}:
                     raise ValueError(f"{path}: unknown subset in a mu^{key} row")
                 table[(out, ins)] = Fraction(num, den)
-            ops[int(key)] = table
+            ops[arity] = table
     except (AttributeError, TypeError, ZeroDivisionError) as exc:
         # a generator, table or row of the wrong shape, or a zero denominator
         raise ValueError(f"{path}: malformed {MODEL_SCHEMA} document: {exc}") from exc

@@ -14,16 +14,16 @@ maps into and out of its degree.  It eliminates the map into its degree
 and then its harmonic columns in one solver, which the degree below can
 reuse as the map out of it, so a map shared by two contracted degrees
 need not be eliminated twice.  Its `split` reduces integer vectors by
-the same elimination and makes `Fraction`s only for harmonic parts.
+the same elimination and returns the homotopy h only; the projection p
+is read off `functional`, one exact integer row per harmonic column.
+Every result is an integer vector over one denominator: this module
+makes no `Fraction`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-
-ZERO = Fraction(0)
 
 
 class NotAComplex(ValueError):
@@ -96,12 +96,11 @@ class LinSolver:
     stored with its expression divided by their common content and signed
     so that its pivot entry, at its largest row, is positive.  Every
     vector is then a nonzero multiple of the one elimination over Q would
-    store, so the pivots and the kernel's lines are exactly those of it;
-    `Fraction`s are made only in `Contraction.split`, for the harmonic
-    coefficients.  Which nonzero row is a column's pivot changes none of
-    the outputs.  The largest one leaves later D * d columns with fewer
-    entries at stored pivot rows than the smallest: a fresh n=2 build
-    applies 19,781 steps instead of 27,810.
+    store, so the pivots and the kernel's lines are exactly those of it,
+    and no `Fraction` is made.  Which nonzero row is a column's pivot
+    changes none of the outputs.  The largest one leaves later D * d
+    columns with fewer entries at stored pivot rows than the smallest: a
+    fresh n=2 build applies 19,781 steps instead of 27,810.
     """
 
     __slots__ = ("pivots", "kernel_ints", "_ncols", "_scale", "_steps", "_where")
@@ -232,18 +231,18 @@ class Contraction:
 
         x = sum_a alpha_a harmonic_a + sum_j c_j d_in_j + complement
 
-    with c_j = 0 at d_in's dependent columns.  split(vec, den) takes x as
-    an integer vector over den and returns (alpha, pre, pre_den): p(x) as
-    a list of harmonic coefficients, and h(x) one degree down as pre /
-    pre_den keyed by d_in column, pre[j] / pre_den = scale * c_j.  Then
-    p i = 1, d h + h d = 1 - i p and h i = p h = h h = 0 hold by
-    construction (Crainic, arXiv math/0403266); tests check them.  split
-    eliminates on integers and makes `Fraction`s only for alpha.
+    with c_j = 0 at d_in's dependent columns.  p(x) is the list of the
+    alpha_a, and functional(a) is the one place that computes it.
+    split(vec, den) takes x as an integer vector over den and returns
+    (pre, pre_den): h(x) one degree down as pre / pre_den keyed by d_in
+    column, pre[j] / pre_den = scale * c_j.  Then p i = 1,
+    d h + h d = 1 - i p and h i = p h = h h = 0 hold by construction
+    (Crainic, arXiv math/0403266); tests check them.
 
     One solver, `solver`, eliminates d_in and then the harmonic columns.
     With the harmonic columns last, d_in's pivots and the solver's scale
     are those of d_in alone, and since the decomposition above is unique
-    the order does not change split's outputs.  The degree one down, whose
+    the order changes neither h nor p.  The degree one down, whose
     d_out is this d_in, may pass `solver` as its `out` instead of
     eliminating the same map again: only out's first len(d_out) columns
     are read, and their kernel is rebuilt from its steps.  Without `out`,
@@ -251,9 +250,8 @@ class Contraction:
 
     functional(a) gives alpha_a as one exact row: zero at d_out's pivot
     columns, zero on every d_in column and 1 on harmonic_a, so that
-    alpha_a(x) = row . x for every x, equal to split's by construction.
-    It is built once, on first use, by one back-substitution over the
-    solver's stored steps.
+    alpha_a(x) = row . x for every x.  It is built once, on first use, by
+    one back-substitution over the solver's stored steps.
 
     Raises ValueError when d_out d_in != 0, when a harmonic column is not
     a cocycle, when one depends on the others or on the image, and when
@@ -332,10 +330,11 @@ class Contraction:
         return hit
 
     def split(self, vec, den):
-        """(alpha, pre, pre_den) of the vector {index: int} / den, den > 0.
+        """h(x) of the vector x = {index: int} / den, den > 0, as (pre, pre_den).
 
-        alpha is p(x) as a list of `Fraction`s; h(x) is {d_in column: int}
-        / pre_den with pre_den > 0 and gcd(pre_den, *pre.values()) == 1.
+        pre is {d_in column: int} over pre_den > 0, with
+        gcd(pre_den, *pre.values()) == 1.  The harmonic parts of the
+        decomposition are dropped: p(x) is read off `functional`.
         """
         cycles = self._cycles
         cycle = {}
@@ -348,19 +347,13 @@ class Contraction:
         m = self.solver._eliminate(cycle, combo) * den * self._den
         if cycle:
             raise ValueError("cycle failed to decompose")
-        num = -self.solver._scale
+        num = -self.solver._scale * self.scale
         nin = self._nin
-        harm = [ZERO] * self.nharm
-        pre = {}
-        for i in sorted(combo):
-            if i < nin:
-                pre[i] = combo[i] * num * self.scale
-            else:
-                harm[i - nin] = Fraction(combo[i] * num * self._hden[i - nin], m)
+        pre = {i: c * num for i, c in sorted(combo.items()) if i < nin}
         g = gcd(m, *pre.values())
         if g != 1:
             pre = {src: v // g for src, v in pre.items()}
-        return harm, pre, m // g
+        return pre, m // g
 
 
 def _scaled(col, scale):

@@ -13,9 +13,10 @@ exterior algebra on n+2 odd generators, one per variable; this module
     into a piece already contracted is not eliminated again,
   * runs the homological-perturbation tree sum to transfer the product
     to A-infinity operations mu^k on the exterior basis {e_K}.  The
-    tree sum runs on integer vectors over one denominator; only the
-    coefficients of mu^k are `Fraction`s, read off the piece's
-    harmonic functional.
+    tree sum runs on integer vectors over one denominator: each block
+    is +-h(lambda), from the contraction's `split`, and mu^k is
+    p(lambda), read off the piece's harmonic `functional`, the one
+    source of p.  Only the coefficients of mu^k are `Fraction`s.
 
 Conventions, frozen after calibrating against the arity <= 4 Stasheff
 identities at n = 1:
@@ -176,11 +177,12 @@ class _Engine:
         the piece one degree down, the rows of `split`'s h.  The bases
         and D * d columns the contraction is built from are not kept.
 
-        When the piece one degree up has a record, its `below` is this
-        piece's basis, its index the rows of this piece's D * d, and its
-        contraction's solver has eliminated that map already; the
-        contraction reuses it.  Otherwise it eliminates the map and drops
-        the solver.
+        The only choice is where this piece's basis, the rows of its
+        D * d and the solver of that map come from.  When the piece one
+        degree up has a record, they are its `below`, its index and its
+        contraction's solver, which has eliminated the map already.
+        Otherwise both bases are enumerated and the contraction eliminates
+        the map itself and drops the solver.  The rest is shared.
         """
         hit = self._pieces.get(key)
         if hit is None:
@@ -188,15 +190,16 @@ class _Engine:
             wrep, qnum = key
             up = self._pieces.get((wrep, qnum + self.step))
             if up is None:
-                (below, _, _), index, (d_in, d_out) = _complex(key, cfg)
-                out = None
+                basis, out = _basis(wrep, qnum, cfg), None
+                above = _basis(wrep, qnum + self.step, cfg)
+                rows = {m: i for i, m in enumerate(above)}
             else:
                 up_con, _, rows, basis = up
                 out = up_con.solver
-                below = _basis(wrep, qnum - self.step, cfg)
-                index = {m: i for i, m in enumerate(basis)}
-                d_in = differential_columns(below, index, cfg)
-                d_out = differential_columns(basis, rows, cfg)
+            below = _basis(wrep, qnum - self.step, cfg)
+            index = {m: i for i, m in enumerate(basis)}
+            d_in = differential_columns(below, index, cfg)
+            d_out = differential_columns(basis, rows, cfg)
             harm_mask = self.exterior_label(key)
             harmonic = []
             if harm_mask is not None:
@@ -211,23 +214,19 @@ class _Engine:
         return hit
 
     def split(self, terms, den, key):
-        """Cycle-part decomposition of {monomial: int} / den in the piece.
+        """h(x) of x = {monomial: int} / den in the piece, as (h, pre_den).
 
-        Returns ({K0: coef}, pre, pre_den): the harmonic coefficient as a
-        `Fraction`, and h(x) one degree down in the distinguished
-        complement as {monomial: int} / pre_den, content-reduced.  The
+        h is x's homotopy image one degree down in the distinguished
+        complement, {monomial: int} over pre_den, content-reduced.  The
         component of x outside ker(d) is discarded, which is exactly what
-        both p and h do to it.
+        h does to it.
         """
-        con, harm_mask, index, below = self.piece(key)
+        con, _, index, below = self.piece(key)
         try:
-            harm, pre, pre_den = con.split(
-                {index[m]: c for m, c in terms.items()}, den
-            )
+            pre, pre_den = con.split({index[m]: c for m, c in terms.items()}, den)
         except ValueError as exc:
             raise RuntimeError(f"piece {key}: {exc}") from exc
-        alpha = {harm_mask: harm[0]} if harm and harm[0] else {}
-        return alpha, {below[src]: c for src, c in pre.items()}, pre_den
+        return {below[src]: c for src, c in pre.items()}, pre_den
 
     # -- transfer tree sum --------------------------------------------
 
@@ -265,7 +264,7 @@ class _Engine:
                 hit = _EMPTY
                 if lam:
                     key = self.lambda_key(masks)
-                    _, pre, pre_den = self.split(lam, den, key)
+                    pre, pre_den = self.split(lam, den, key)
                     if pre:
                         # H = (-1)^{parity(lambda)} h, and lambda has the
                         # opposite parity to the block
@@ -306,8 +305,9 @@ class _Engine:
     def mu(self, masks):
         """The harmonic coefficient of lambda_k, as {K0: coef} or {}.
 
-        On a piece with cohomology it is read off the contraction's
-        `functional`; elsewhere the full split runs, for its checks.
+        On a piece with cohomology it is p(lambda), read off the
+        contraction's `functional`.  A piece without cohomology has no p:
+        the split still runs there, for its checks, and mu is {}.
         """
         lam, den = self.tree_sum(masks)
         if not lam:
@@ -315,7 +315,8 @@ class _Engine:
         key = self.lambda_key(masks)
         con, harm_mask, index, _ = self.piece(key)
         if harm_mask is None:
-            return self.split(lam, den, key)[0]
+            self.split(lam, den, key)
+            return {}
         row, rden = con.functional()
         num = 0
         for m, c in lam.items():
@@ -352,28 +353,15 @@ def _basis(wrep, qnum, cfg):
     return bigraded_basis(LatticeClass(wrep), Fraction(qnum, cfg.nvars), cfg)
 
 
-def _complex(key, cfg):
-    """The pieces one degree below, at and above key, and D * d between them.
-
-    Returns (bases, index, maps): the three `bigraded_basis` lists, the
-    middle one's row index, and the maps out of the lower two as
-    `differential_columns`.
-    """
-    wrep, qnum = key
-    step = cfg.nvars
-    bases = [_basis(wrep, qnum + i * step, cfg) for i in (-1, 0, 1)]
-    index, above = ({m: i for i, m in enumerate(b)} for b in bases[1:])
-    maps = [differential_columns(bases[0], index, cfg),
-            differential_columns(bases[1], above, cfg)]
-    return bases, index, maps
-
-
 def cohomology_dim(w, q, cfg):
-    """Rank of the cohomology of (B, d) in the piece (w, q)."""
+    """Rank of the cohomology of (B, d) in the piece (w, q), from the
+    pieces one degree below, at and above it and D * d between them."""
     qnum = Fraction(q) * cfg.nvars
     if qnum.denominator != 1:
         return 0
-    bases, _, maps = _complex((w.rep, int(qnum)), cfg)
+    bases = [_basis(w.rep, int(qnum) + i * cfg.nvars, cfg) for i in (-1, 0, 1)]
+    maps = [differential_columns(src, {m: i for i, m in enumerate(dst)}, cfg)
+            for src, dst in zip(bases, bases[1:])]
     return homology_ranks([len(b) for b in bases], maps)[1]
 
 

@@ -160,6 +160,20 @@ def test_mf_check_report_digest(n, digest, capsys):
     assert hashlib.sha256(results.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("n, digest", [
+    (1, "6047c3de312514429c02107a71bfbfe4e92e19846ba50b62af708264dd44a2f8"),
+    (2, "d9c7719d3bb1ee5684ead5bf98158114e3f6a095ef919e69b7b88392096bc33d"),
+])
+def test_minimal_model_report_digest(n, digest, capsys):
+    # the compact results of the report, as first recorded: the tables and
+    # checks it prints must stay byte-identical
+    code, out, _ = run_cli(["minimal-model", "--n", str(n)], capsys)
+    assert code == 0
+    results = json.dumps(report(out)["results"], sort_keys=True,
+                         separators=(",", ":"))
+    assert hashlib.sha256(results.encode()).hexdigest() == digest
+
+
 def test_mf_check_fails_on_a_wrong_delta(capsys, monkeypatch):
     # one sign flipped in the delta table mf-check squares
     def flipped(cfg):
@@ -406,6 +420,12 @@ def test_opposite_is_involutive_through_files(model_file, tmp_path, capsys):
      "tables": {"2": [[[], [[1], [2]], 1, 0]]}},
     *(doc for _, doc in _MODEL_MISSING_KEY),
     dict(_MODEL_HEAD, generators=[], tables={"2": [[[], [[1], [2]], 1, 1]]}),
+    # a row whose number of inputs is not its table's arity, and an arity
+    # below 1
+    dict(_MODEL_HEAD, generators=[_GENERATOR],
+         tables={"2": [[[1], [[1], [1], [1]], 1, 1]]}),
+    dict(_MODEL_HEAD, generators=[_GENERATOR], tables={"3": [[[1], [[1], [1]], 1, 1]]}),
+    dict(_MODEL_HEAD, generators=[_GENERATOR], tables={"0": []}),
 ])
 def test_model_commands_reject_malformed_file(doc, tmp_path, capsys):
     path = tmp_path / "model.json"

@@ -110,16 +110,28 @@ def _int_vector(vec):
     return {i: v.numerator * (den // v.denominator) for i, v in vec.items()}, den
 
 
+def _alpha(con, vec, den):
+    """p(x) of x = {index: int} / den as a list of `Fraction`s, one per
+    harmonic column, read off `Contraction.functional`."""
+    alpha = []
+    for a in range(con.nharm):
+        row, rden = con.functional(a)
+        alpha.append(F(sum(c * row.get(j, 0) for j, c in vec.items()), rden * den))
+    return alpha
+
+
 def _split(con, vec):
-    """`Contraction.split` on a `Fraction` vector: (alpha, h(x) as Fractions).
+    """(alpha, h(x)) of a `Fraction` vector, both as Fractions: p(x) read
+    off `functional` and h(x) off `Contraction.split`.
 
     Also checks the integer contract: h(x) comes back content-reduced
     over a positive denominator.
     """
-    alpha, pre, den = con.split(*_int_vector(vec))
+    ivec, iden = _int_vector(vec)
+    pre, den = con.split(ivec, iden)
     assert den > 0 and gcd(den, *pre.values()) == 1
     assert all(type(v) is int for v in pre.values())
-    return alpha, {i: F(v, den) for i, v in pre.items()}
+    return _alpha(con, ivec, iden), {i: F(v, den) for i, v in pre.items()}
 
 
 def _contract(d_in, d_out, harmonic, out=None):
@@ -402,7 +414,8 @@ def _random_complex(seed, dims=(3, 4, 2), rank=2):
 
 
 def contraction_parts(con, harmonic, dim):
-    """(i, p, h) of one degree as column lists; p and h are read off split."""
+    """(i, p, h) of one degree as column lists; p is read off functional,
+    h off split."""
     p_cols, h_cols = [], []
     for j in range(dim):
         alpha, pre = _split(con, {j: ONE})
@@ -498,9 +511,10 @@ def test_contraction_rejects_dependent_columns():
     (23, (9, 14, 3), 9), (31, (4, 12, 10), 4),
 ])
 def test_functional_matches_split(seed, dims, rank):
-    # alpha_a read off functional(a) equals split's alpha_a on every unit
-    # vector and on random integer vectors over a denominator, in every
-    # degree of a random complex (padded by a zero space at each end)
+    # alpha_a read off functional(a) equals the alpha_a of the two-solver
+    # oracle's split on every unit vector and on random integer vectors
+    # over a denominator, in every degree of a random complex (padded by a
+    # zero space at each end)
     rng = random.Random(seed)
     dims, maps = _random_complex(seed, dims, rank)
     maps = [[]] + maps + [[{}] * dims[-1]]
@@ -512,18 +526,17 @@ def test_functional_matches_split(seed, dims, rank):
         kernel = list(_kernel(LinSolver(d_out)).values())
         harmonic = _pick_harmonic(d_in, kernel)
         con = _contract(d_in, d_out, harmonic)
+        oracle = TwoSolverContraction(d_in, d_out, harmonic, 1)
         nharm += con.nharm
         vecs = [({j: 1}, 1) for j in range(dim)] + [
             ({j: rng.randint(-9, 9) for j in range(dim)}, rng.randint(1, 12))
             for _ in range(10)
         ]
+        for a in range(con.nharm):
+            row, rden = con.functional(a)
+            assert rden > 0 and gcd(rden, *row.values()) == 1
         for vec, den in vecs:
-            alpha = con.split(vec, den)[0]
-            for a in range(con.nharm):
-                row, rden = con.functional(a)
-                assert rden > 0 and gcd(rden, *row.values()) == 1
-                dot = sum(c * row.get(j, 0) for j, c in vec.items())
-                assert F(dot, rden * den) == alpha[a]
+            assert _alpha(con, vec, den) == oracle.split(vec, den)[0]
         # built once: the row is kept with the contraction
         assert all(con.functional(a) is con.functional(a)
                    for a in range(con.nharm))
@@ -536,7 +549,8 @@ class TwoSolverContraction:
     Harmonic columns ({row: Fraction}) are eliminated first, then d_in, in
     one solver, and d_out in a second one for its kernel.  Only the parts
     the comparison reads are kept: the kernel (`_cycles`, `_den`), split
-    and the functional.
+    and the functional.  Its split returns (alpha, pre, pre_den): p(x)
+    as `Fraction`s, read off the elimination, besides h(x).
     """
 
     def __init__(self, d_in, d_out, harmonic, scale):
@@ -611,8 +625,9 @@ class TwoSolverContraction:
 
 def assert_matches_oracle(con, oracle, dim, rng):
     """con and the two-solver oracle of the same degree agree: the same
-    kernel, split on every unit vector and on random integer vectors over a
-    denominator, and the same functional rows."""
+    kernel, the same h and p on every unit vector and on random integer
+    vectors over a denominator (con's p read off its functional), and the
+    same functional rows."""
     assert con.nharm == oracle.nharm
     assert (con._cycles, con._den) == (oracle._cycles, oracle._den)
     vecs = [({j: 1}, 1) for j in range(dim)] + [
@@ -621,7 +636,9 @@ def assert_matches_oracle(con, oracle, dim, rng):
         for _ in range(8)
     ]
     for vec, den in vecs:
-        assert con.split(vec, den) == oracle.split(vec, den)
+        alpha, pre, pre_den = oracle.split(vec, den)
+        assert con.split(vec, den) == (pre, pre_den)
+        assert _alpha(con, vec, den) == alpha
     for a in range(con.nharm):
         assert con.functional(a) == oracle.functional(a)
 

@@ -390,9 +390,12 @@ def test_engine_contraction_identities():
         )
         if key in exterior:
             kmask = exterior[key]
-            assert eng.piece(key)[1] == kmask
-            alpha, h, _ = eng.split(*dbar_product(kmask, choice, cfg), key)
-            assert alpha == {kmask: F(1)}
+            con, harm_mask, index, _ = eng.piece(key)
+            assert harm_mask == kmask
+            rep, den = dbar_product(kmask, choice, cfg)
+            alpha, _ = _split(con, {index[m]: F(c, den) for m, c in rep.items()})
+            assert alpha == [F(1)]
+            h, _ = eng.split(rep, den, key)
             assert not h
 
 
@@ -429,10 +432,21 @@ ORACLE_RUNS = [(cfg, arities) for cfg, arities, _ in BUILDS] + [
 ]
 
 
+def _two_solver_oracle(eng, key, d_in, d_out):
+    """The two-solver contraction of a piece's maps and harmonic column."""
+    _, harm_mask, index, _ = eng.piece(key)
+    harmonic = []
+    if harm_mask is not None:
+        rep, den = dbar_product(harm_mask, eng.choice, eng.cfg)
+        harmonic.append({index[m]: F(c, den) for m, c in rep.items()})
+    return TwoSolverContraction(d_in, d_out, harmonic, eng.scale)
+
+
 @pytest.mark.parametrize("cfg, arities", ORACLE_RUNS)
 def test_mu_functional_matches_split(cfg, arities):
     # on every mu call, alpha read off the piece's functional equals the
-    # alpha of the full split of the same tree sum
+    # alpha of the two-solver oracle's split of the same tree sum, with
+    # the oracle built per piece from the piece's maps
     n = cfg.n
     eng = _Engine(cfg, CohomologyBasisChoice.default(n))
     if arities is None:
@@ -440,11 +454,26 @@ def test_mu_functional_matches_split(cfg, arities):
     else:
         tuples = [tup for k in arities
                   for tup in admissible_tuples(n, k, (k - 2) // n)]
+    oracles = {}
     nonzero = 0
     for tup in tuples:
         got = eng.mu(tup)
         lam, den = eng.tree_sum(tup)
-        want = eng.split(lam, den, eng.lambda_key(tup))[0] if lam else {}
+        want = {}
+        if lam:
+            key = eng.lambda_key(tup)
+            _, harm_mask, index, below = eng.piece(key)
+            if key not in oracles:
+                wrep, qnum = _shifted(eng, key, 1)
+                above = bigraded_basis(LatticeClass(wrep), F(qnum, eng.step), cfg)
+                oracles[key] = _two_solver_oracle(
+                    eng, key, differential_columns(below, index, cfg),
+                    differential_columns(
+                        list(index), {m: i for i, m in enumerate(above)}, cfg),
+                )
+            alpha = oracles[key].split({index[m]: c for m, c in lam.items()}, den)[0]
+            if alpha and alpha[0]:
+                want = {harm_mask: alpha[0]}
         assert got == want, tup
         nonzero += bool(got)
     assert nonzero
@@ -639,13 +668,9 @@ def test_piece_contractions_match_two_solver_oracle(cfg, arities, scale):
     # unit and random vectors, the same functional rows
     eng, maps, _ = _built_engine(cfg, arities)
     rng = random.Random(cfg.n)
-    for key, (con, harm_mask, index, _) in eng._pieces.items():
-        harmonic = []
-        if harm_mask is not None:
-            rep, den = dbar_product(harm_mask, eng.choice, cfg)
-            harmonic.append({index[m]: F(c, den) for m, c in rep.items()})
-        oracle = TwoSolverContraction(
-            maps[_shifted(eng, key, -1)], maps[key], harmonic, eng.scale
+    for key, (con, _, index, _) in eng._pieces.items():
+        oracle = _two_solver_oracle(
+            eng, key, maps[_shifted(eng, key, -1)], maps[key]
         )
         assert_matches_oracle(con, oracle, len(index), rng)
 

@@ -34,3 +34,12 @@ def test_runtime_does_not_import_random():
     # object; sampling belongs to the tests
     for fname, line, name in _imports():
         assert name.partition(".")[0] != "random", f"{fname}:{line} imports {name}"
+
+
+def test_linalg_is_integer_only():
+    # the elimination and the contraction work on integer vectors over one
+    # denominator; p is read off integer functional rows, so linalg needs
+    # no Fraction
+    names = {name for fname, _, name in _imports() if fname == "linalg.py"}
+    assert "math" in names  # the walker reached linalg.py
+    assert "fractions" not in names
