@@ -165,9 +165,10 @@ def _cyclotomic(m):
     return poly
 
 
-def _splitter(alg):
+def _splitter(tables):
     """A map coef -> (magnitude, root-of-unity exponent) for the nonzero
-    coefficients of alg, and the common denominator D it scales by.
+    coefficients of the given tables, and the common denominator D it
+    scales by.
 
     The magnitude is the int q * D for a coefficient q * zeta^exp (exp 0
     for a rational coefficient), so products of two coefficients are ints
@@ -175,7 +176,7 @@ def _splitter(alg):
     """
     scale = lcm(*(
         (c.mag if isinstance(c, Cyc) else c).denominator
-        for table in alg.ops.values() for c in table.values() if c
+        for table in tables for c in table.values() if c
     ))
 
     def split(coef):
@@ -185,60 +186,120 @@ def _splitter(alg):
     return split, scale
 
 
+def _indexed_arities(alg, max_arity):
+    """The arities whose entries `_joined_terms` joins, ascending: those k
+    with a nonzero entry and k + k_min - 1 <= max_arity, k_min the
+    smallest arity with a nonzero entry."""
+    arities = sorted(k for k, table in alg.ops.items() if any(table.values()))
+    return [k for k in arities if k + arities[0] - 1 <= max_arity]
+
+
+def _decode_key(key, labels, width, ebits):
+    """(arity, input tuple, output label, exponent) of a packed identity
+    key of `_joined_terms`."""
+    exp = key & ((1 << ebits) - 1)
+    key >>= ebits
+    digit = (1 << width) - 1
+    out = labels[key & digit]
+    tup = []
+    while key := key >> width:
+        tup.append(labels[key & digit])
+    tup.reverse()
+    return len(tup), tuple(tup), out, exp
+
+
 def _joined_terms(alg, max_arity, split, modulus):
-    """(leading label, totals) for every group of identities up to
-    max_arity, one group at a time.
+    """The key layout (labels, width, ebits) and a generator of (leading
+    label, totals) for every group of identities up to max_arity, one
+    group at a time.
 
     A group holds the identities whose input tuple starts with one label.
-    Its totals map (arity, tuple, output, exponent) to the summed scaled
-    magnitude of the group's terms, zero sums included.  A term
+    Its totals map the packed key of (arity, tuple, output, exponent) to
+    the summed scaled magnitude of the group's terms, zero sums included;
+    `_decode_key(key, labels, width, ebits)` unpacks a key.  A term
     mu^k_out(..., mu^k_in(inner), ...) with the inner product in slot p
     belongs to the group of the outer entry's first input when p >= 1,
     and to the group of inner[0] when p == 0.
 
-    Each nonzero entry is one record (k, out, ins, mag, signed, exp),
-    signed[p] being the magnitude times the tail sign of slot p, and the
-    records sit in two indexes: first[label], the entries whose first
-    input is label, and by_out[label], the entries whose output is label.
-    The group of lead walks first[lead] once: each entry is the outer
-    factor of the entries in by_out[ins[p]] for its slots p >= 1, and the
-    inner factor in slot 0 of the entries in first[out].  Only arities k
-    with k + k_min - 1 <= max_arity are indexed, k_min the smallest arity
-    with a nonzero entry, in ascending order, so a composed arity above
-    max_arity ends the scan of an index list and every visited pair is a
-    term.  Groups come in the order their labels first lead an entry, so
-    labels missing from alg.basis get their groups too.
+    Keys are ints, so the join hashes no label tuples.  Every label of an
+    indexed entry gets an id 1..L in first-seen order (labels[id] is the
+    label), and a key holds, from its most significant end, one
+    width-bit digit per input, one for the output, and the exponent
+    modulo the modulus in ebits bits (none when the modulus is 1), where
+    width = L.bit_length().  Digits are never 0, so the arity is read off
+    the key's length.
+
+    Each nonzero entry is one record (k, out, packed, span, tail, mag,
+    exp, ins, signed0): out is the output's id, packed the input digits,
+    span = width * k their bit length, tail the digits of ins[1:] and of
+    the output followed by ebits zero bits, and signed0 the magnitude
+    times the tail sign of slot 0.  An inner record lands in slot p of
+    an outer one under the key (high << span_in | packed_in) << shift |
+    low, plus the exponent, where shift = width * (k - p) + ebits, high
+    is the outer digits left of the slot and low the last shift bits of
+    the outer tail; at p == 0, high is empty and low the whole tail.
+    The records sit in two indexes: first[id], the entries whose first
+    input is that label, and by_out[id], the entries whose output is
+    that label.  The group of lead walks first[lead] once: each entry is
+    the outer factor of the entries in by_out[ins[p]] for its slots
+    p >= 1, and the inner factor in slot 0 of the entries in first[out].
+    Only the arities of `_indexed_arities` are indexed, in ascending
+    order, so a composed arity above max_arity ends the scan of an index
+    list and every visited pair is a term.  Groups come in the order
+    their labels first lead an entry, so labels missing from alg.basis
+    get their groups too.
     """
-    arities = sorted(k for k, table in alg.ops.items() if any(table.values()))
-    first, by_out = {}, {}
+    arities = _indexed_arities(alg, max_arity)
+    ids = {}
     for k in arities:
-        if k + arities[0] - 1 > max_arity:
-            break
+        for (out, ins), coef in alg.ops[k].items():
+            if coef:
+                for label in (out, *ins):
+                    ids.setdefault(label, len(ids) + 1)
+    labels = [None, *ids]
+    width = len(ids).bit_length()
+    ebits = (modulus - 1).bit_length()
+    digit = (1 << width) - 1
+    first, by_out = {}, [[] for _ in labels]
+    for k in arities:
         for (out, ins), coef in alg.ops[k].items():
             if not coef:
                 continue
             mag, exp = split(coef)
-            signed = tuple(_tail_sign(alg.zdeg, ins[p + 1:]) * mag for p in range(k))
-            rec = (k, out, ins, mag, signed, exp)
-            first.setdefault(ins[0], []).append(rec)
-            by_out.setdefault(out, []).append(rec)
-    for lead, entries in first.items():
-        totals = defaultdict(int)
-        for k, out, ins, mag, signed, exp in entries:
-            for p in range(1, k):
-                for k_in, _, inner, mag_in, _, exp_in in by_out.get(ins[p], ()):
-                    m = k + k_in - 1
-                    if m > max_arity:
+            packed = 0
+            for x in ins:
+                packed = packed << width | ids[x]
+            out = ids[out]
+            tail = ((packed & ((1 << width * (k - 1)) - 1)) << width | out) << ebits
+            rec = (k, out, packed, width * k, tail, mag, exp, ins,
+                   _tail_sign(alg.zdeg, ins[1:]) * mag)
+            first.setdefault(packed >> width * (k - 1), []).append(rec)
+            by_out[out].append(rec)
+
+    def groups():
+        for lead, recs in first.items():
+            totals = defaultdict(int)
+            for k, out, packed, _, tail, mag, exp, ins, _ in recs:
+                room = max_arity - k + 1
+                for p in range(1, k):
+                    cut = width * (k - p)  # the digits of slots p..k-1
+                    shift = cut + ebits
+                    high, low = packed >> cut, tail & ((1 << shift) - 1)
+                    signed = _tail_sign(alg.zdeg, ins[p + 1:]) * mag
+                    slot = (packed >> cut - width) & digit
+                    for k_in, _, inner, span, _, mag_in, exp_in, _, _ in by_out[slot]:
+                        if k_in > room:
+                            break
+                        key = (high << span | inner) << shift | low
+                        totals[key | (exp + exp_in) % modulus] += signed * mag_in
+                for k_out, _, _, span, tail_out, _, exp_out, _, signed in first.get(out, ()):
+                    if k_out > room:
                         break
-                    tup = ins[:p] + inner + ins[p + 1:]
-                    totals[(m, tup, out, (exp + exp_in) % modulus)] += signed[p] * mag_in
-            for k_out, top, outer, _, signed_out, exp_out in first.get(out, ()):
-                m = k_out + k - 1
-                if m > max_arity:
-                    break
-                tup = ins + outer[1:]
-                totals[(m, tup, top, (exp_out + exp) % modulus)] += signed_out[0] * mag
-        yield lead, totals
+                    key = packed << (span + ebits) | tail_out
+                    totals[key | (exp_out + exp) % modulus] += signed * mag
+            yield labels[lead], totals
+
+    return (labels, width, ebits), groups()
 
 
 def _total(by_exp, order, phi):
@@ -275,7 +336,10 @@ def check_stasheff(alg, max_arity):
     reaches every instance with at least one nonzero term, and only
     pairs whose composed arity is at most max_arity are visited.  The
     join looks pairs up in two indexes over one record per nonzero
-    entry: the entries by first input and the entries by output.
+    entry: the entries by first input and the entries by output.  The
+    totals are keyed by one packed int per (identity, exponent), and a
+    key is decoded to labels, and its total made a Fraction, only when
+    the total is nonzero, so a consistent algebra costs neither.
 
     The identities are summed and decided in groups keyed by the first
     label of their input tuple (see `_joined_terms`), so the totals dict
@@ -290,13 +354,15 @@ def check_stasheff(alg, max_arity):
         raise ValueError("mixed root-of-unity orders")
     order = orders.pop() if orders else None
     phi = _cyclotomic(order) if order else None
-    split, scale = _splitter(alg)
+    split, scale = _splitter(alg.ops[k] for k in _indexed_arities(alg, max_arity))
     unit = scale * scale
+    keys, groups = _joined_terms(alg, max_arity, split, order or 1)
     violations = []
-    for _, totals in _joined_terms(alg, max_arity, split, order or 1):
+    for _, totals in groups:
         by_identity = {}
-        for (m, tup, out, exp), mag in totals.items():
+        for key, mag in totals.items():
             if mag:
+                m, tup, out, exp = _decode_key(key, *keys)
                 by_identity.setdefault((m, tup, out), {})[exp] = Fraction(mag, unit)
         del totals  # the generator then drops the group's last reference
         for (m, tup, out), by_exp in by_identity.items():

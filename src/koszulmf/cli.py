@@ -163,6 +163,8 @@ def _load_model_file(path):
             arity = int(key)
             if arity < 1:
                 raise ValueError(f"{path}: table mu^{key} has arity below 1")
+            if arity in ops:
+                raise ValueError(f"{path}: two tables for mu^{arity}")
             table = {}
             for out, ins, num, den in rows:
                 out, ins = from_elements(out), tuple(map(from_elements, ins))
@@ -171,6 +173,9 @@ def _load_model_file(path):
                         f"{path}: a mu^{key} row with {len(ins)} inputs")
                 if not zdeg.keys() >= {out, *ins}:
                     raise ValueError(f"{path}: unknown subset in a mu^{key} row")
+                if (out, ins) in table:
+                    raise ValueError(
+                        f"{path}: two mu^{arity} rows with the same output and inputs")
                 table[(out, ins)] = Fraction(num, den)
             ops[arity] = table
     except (AttributeError, TypeError, ZeroDivisionError) as exc:

@@ -7,8 +7,10 @@ from math import comb
 
 import pytest
 
+from koszulmf import ainfty
 from koszulmf.ainfty import (
     _cyclotomic,
+    _decode_key,
     _joined_terms,
     _splitter,
     _tail_sign,
@@ -245,15 +247,20 @@ def smash_z3(alg_n1):
     return smash(alg_n1, _sum_map_group(1))
 
 
-def test_join_matches_reference_on_z3_smash(smash_z3):
-    assert _assert_same_as_reference(smash_z3, 4) == []
+def _twisted(smash_z3):
+    """smash_z3 with one mu^2 entry times zeta: violated identities."""
     twisted = FiniteAInftyAlgebra(
         smash_z3.basis, smash_z3.zdeg,
         {k: dict(table) for k, table in smash_z3.ops.items()},
     )
     key = ((0b011, (2,)), ((0b001, (1,)), (0b010, (1,))))
     twisted.ops[2][key] = twisted.ops[2][key] * Cyc(F(1), 1, 3)
-    assert _assert_same_as_reference(twisted, 4)
+    return twisted
+
+
+def test_join_matches_reference_on_z3_smash(smash_z3):
+    assert _assert_same_as_reference(smash_z3, 4) == []
+    assert _assert_same_as_reference(_twisted(smash_z3), 4)
     flipped = FiniteAInftyAlgebra(
         smash_z3.basis, smash_z3.zdeg,
         {k: dict(table) for k, table in smash_z3.ops.items()},
@@ -261,6 +268,28 @@ def test_join_matches_reference_on_z3_smash(smash_z3):
     key = sorted(key for key, c in flipped.ops[3].items() if c)[7]
     flipped.ops[3][key] = -flipped.ops[3][key]
     assert _assert_same_as_reference(flipped, 4)
+
+
+def test_stasheff_decodes_and_makes_fractions_only_for_nonzero_totals(
+        smash_z3, monkeypatch):
+    calls = defaultdict(int)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(ainfty, "_decode_key", counted("decode", _decode_key))
+    monkeypatch.setattr(ainfty, "Fraction", counted("fraction", Fraction))
+    assert check_stasheff(smash_z3, 4) == []
+    assert calls == {}
+    twisted = _twisted(smash_z3)
+    assert check_stasheff(twisted, 4)
+    split, _ = _splitter(twisted.ops.values())
+    _, groups = _joined_terms(twisted, 4, split, 3)
+    nonzero = sum(1 for _, totals in groups for mag in totals.values() if mag)
+    assert calls["decode"] == nonzero > 0
 
 
 def test_join_matches_reference_on_mutated_model(alg_n1):
@@ -319,6 +348,28 @@ def test_join_matches_exhaustive_on_random_algebras(cyc_order):
                 assert joined
 
 
+@pytest.mark.parametrize("cyc_order", [None, 3, 4])
+@pytest.mark.parametrize("nlabels", [7, 8, 9])
+def test_packed_keys_at_digit_width_edges(nlabels, cyc_order):
+    # ids 1..7 fit 3-bit digits, 8 and 9 need 4; a mu^1 cycle through
+    # every label indexes all of them at every arity, with 0 leading one
+    rng = random.Random(59 + nlabels + (cyc_order or 0))
+    alg = _random_algebra(rng, nlabels, cyc_order)
+    for x in alg.basis:
+        mag = F(rng.choice([1, -1, 2]))
+        alg.ops[1][((x + 1) % nlabels, (x,))] = (
+            Cyc(mag, x, cyc_order) if cyc_order else mag)
+    split, _ = _splitter(alg.ops.values())
+    for max_arity in range(1, 6):
+        (labels, width, _), _ = _joined_terms(alg, max_arity, split, cyc_order or 1)
+        assert sorted(labels[1:]) == alg.basis
+        assert width == (3 if nlabels == 7 else 4)
+        joined = check_stasheff(alg, max_arity)
+        assert _typed(joined) == _typed(_exhaustive_stasheff(alg, max_arity))
+        assert _typed(joined) == _typed(_reference_join(alg, max_arity))
+        assert any(tup[0] == 0 for _, tup, _, _ in joined)
+
+
 def _ungrouped_terms(alg, max_arity, split, modulus):
     """The replaced join of `check_stasheff`: ((arity, tuple, output,
     exponent), scaled magnitude) for every term of every identity at
@@ -354,13 +405,16 @@ def _assert_grouped(alg, max_arity):
     """Each group of `_joined_terms` shares one leading label, no two
     groups share a key, and the merged sums equal the ungrouped join's.
     Returns the leading labels in the order the groups came."""
-    split, _ = _splitter(alg)
+    split, _ = _splitter(alg.ops.values())
     modulus = _order(alg) or 1
     merged, leads = {}, []
-    for lead, totals in _joined_terms(alg, max_arity, split, modulus):
-        assert {tup[0] for _, tup, _, _ in totals} <= {lead}
-        assert not merged.keys() & totals.keys()
-        merged.update(totals)
+    keys, groups = _joined_terms(alg, max_arity, split, modulus)
+    for lead, totals in groups:
+        decoded = {_decode_key(key, *keys): mag for key, mag in totals.items()}
+        assert len(decoded) == len(totals)
+        assert {tup[0] for _, tup, _, _ in decoded} <= {lead}
+        assert not merged.keys() & decoded.keys()
+        merged.update(decoded)
         leads.append(lead)
     ungrouped = defaultdict(int)
     for key, mag in _ungrouped_terms(alg, max_arity, split, modulus):

@@ -410,6 +410,15 @@ def test_opposite_is_involutive_through_files(model_file, tmp_path, capsys):
     assert report(out)["results"]["model"] == original
 
 
+# documents where a later mu^2 table or row would replace an earlier
+# one: "2" and "02" are both arity 2
+_ROW = [[1], [[1], [1]], 1, 1]
+_MODEL_REPEATED = [
+    dict(_MODEL_HEAD, generators=[_GENERATOR], tables={"2": [_ROW], "02": []}),
+    dict(_MODEL_HEAD, generators=[_GENERATOR], tables={"2": [_ROW, _ROW]}),
+]
+
+
 @pytest.mark.parametrize("doc", [
     [1, 2],
     {"schema": "koszulmf-model/1", "generators": [1], "tables": {}},
@@ -426,6 +435,7 @@ def test_opposite_is_involutive_through_files(model_file, tmp_path, capsys):
          tables={"2": [[[1], [[1], [1], [1]], 1, 1]]}),
     dict(_MODEL_HEAD, generators=[_GENERATOR], tables={"3": [[[1], [[1], [1]], 1, 1]]}),
     dict(_MODEL_HEAD, generators=[_GENERATOR], tables={"0": []}),
+    *_MODEL_REPEATED,
 ])
 def test_model_commands_reject_malformed_file(doc, tmp_path, capsys):
     path = tmp_path / "model.json"
@@ -435,6 +445,8 @@ def test_model_commands_reject_malformed_file(doc, tmp_path, capsys):
         assert (code, out) == (2, "")
         assert "error" in err
         _assert_names_missing_key(_MODEL_MISSING_KEY, doc, err)
+        if doc in _MODEL_REPEATED:
+            assert "mu^2" in err
 
 
 def test_smash_dimensions(model_file, capsys):
