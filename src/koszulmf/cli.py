@@ -149,12 +149,21 @@ def _load_model_file(path):
         doc = doc["results"].get("model", doc)
     if not isinstance(doc, dict) or doc.get("schema") != MODEL_SCHEMA:
         raise ValueError(f"{path}: not a {MODEL_SCHEMA} document")
-    _require_keys(doc, ("generators", "tables"), path)
+    _require_keys(doc, ("n", "generators", "tables"), path)
+    n = doc["n"]
+    if type(n) is not int or n < 1:
+        raise ValueError(f"{path}: n must be a positive integer, got {n!r}")
     basis, zdeg, qdeg, wt, ops = [], {}, {}, {}, {}
     try:
         for g in doc["generators"]:
             _require_keys(g, ("subset", "zdeg", "qdeg", "weight"), f"{path}: generator")
             m = from_elements(g["subset"])
+            if m >> (n + 2):
+                raise ValueError(f"{path}: generator subset {_subset(m)} "
+                                 f"has an index above n+2 = {n + 2}")
+            if m in zdeg:
+                raise ValueError(
+                    f"{path}: generator subset {_subset(m)} is listed twice")
             basis.append(m)
             zdeg[m] = int(g["zdeg"])
             qdeg[m] = Fraction(g["qdeg"])
@@ -181,7 +190,7 @@ def _load_model_file(path):
     except (AttributeError, TypeError, ZeroDivisionError) as exc:
         # a generator, table or row of the wrong shape, or a zero denominator
         raise ValueError(f"{path}: malformed {MODEL_SCHEMA} document: {exc}") from exc
-    _require_keys(doc, ("n", "weights", "aux"), path)  # echoed into reports
+    _require_keys(doc, ("weights", "aux"), path)  # echoed into reports
     return doc, FiniteAInftyAlgebra(basis, zdeg, ops, wt, qdeg)
 
 

@@ -1,23 +1,24 @@
 """Exact linear algebra over Q for finite (co)chain complexes.
 
 Ranks, kernels and homology are exact.  A matrix is a list of sparse
-columns, one dict {row: value} per column, with `int` or
-`fractions.Fraction` values; `compose` multiplies two of them.
+columns, one dict {row: int} per column; `compose` multiplies two of
+them.  A map over Q is given by its columns times a common factor that
+clears their denominators: `Contraction` takes that factor as `scale`,
+and ranks and kernels do not depend on it.
 
 There is one elimination kernel, `LinSolver`: incremental elimination
-over columns in their given order, one `add` per column.  One pass gives
-the independent columns and the canonical kernel; `homology_ranks` is
-built on it.  It accepts `int` or `Fraction` columns and eliminates on
-integers (fraction-free).  There is one contraction, `Contraction`, the
-per-degree splitting of `minimal`'s transfer, built and checked from the
-maps into and out of its degree.  It eliminates the map into its degree
-and then its harmonic columns in one solver, which the degree below can
-reuse as the map out of it, so a map shared by two contracted degrees
-need not be eliminated twice.  Its `split` reduces integer vectors by
-the same elimination and returns the homotopy h only; the projection p
-is read off `functional`, one exact integer row per harmonic column.
-Every result is an integer vector over one denominator: this module
-makes no `Fraction`.
+over integer columns in their given order, one `add` per column.  One
+pass gives the independent columns and the canonical kernel;
+`homology_ranks` is built on it.  It is fraction-free.  There is one
+contraction, `Contraction`, the per-degree splitting of `minimal`'s
+transfer, built and checked from the maps into and out of its degree.
+It eliminates the map into its degree and then its harmonic columns in
+one solver, which the degree below can reuse as the map out of it, so a
+map shared by two contracted degrees need not be eliminated twice.  Its
+`split` reduces integer vectors by the same elimination and returns the
+homotopy h only; the projection p is read off `functional`, one exact
+integer row per harmonic column.  Every result is an integer vector over
+one denominator: this module makes no `Fraction`.
 """
 
 from __future__ import annotations
@@ -88,13 +89,14 @@ class LinSolver:
     reduced by `Contraction.split`, which runs the same elimination
     (`_eliminate`) on them.
 
-    The elimination is fraction-free.  The columns are scaled once by the
-    lcm of their denominators; `add` takes a column already scaled.  A
-    column u with entry x at the pivot row of a stored column v, whose
-    entry there is p, becomes (p/g) u - (x/g) v with g = gcd(p, x), and
-    its expression in the scaled columns follows along.  A column is
-    stored with its expression divided by their common content and signed
-    so that its pivot entry, at its largest row, is positive.  Every
+    The columns are {row: int}, and `__init__`, `add` and `kernel` take
+    them in the same units; each is copied without its zero entries.  The
+    elimination is fraction-free.  A column u with entry x at the pivot
+    row of a stored column v, whose entry there is p, becomes
+    (p/g) u - (x/g) v with g = gcd(p, x), and its expression in the
+    columns follows along.  A column is stored with its expression
+    divided by their common content and signed so that its pivot entry,
+    at its largest row, is positive.  Every
     vector is then a nonzero multiple of the one elimination over Q would
     store, so the pivots and the kernel's lines are exactly those of it,
     and no `Fraction` is made.  Which nonzero row is a column's pivot
@@ -103,31 +105,28 @@ class LinSolver:
     fresh n=2 build applies 19,781 steps instead of 27,810.
     """
 
-    __slots__ = ("pivots", "kernel_ints", "_ncols", "_scale", "_steps", "_where")
+    __slots__ = ("pivots", "kernel_ints", "_ncols", "_steps", "_where")
 
     def __init__(self, columns):
         self.pivots = []
         self.kernel_ints = {}
         self._ncols = 0
-        self._scale = scale = lcm(
-            *(v.denominator for col in columns for v in col.values())
-        )
-        # (pivot row, scaled column, its expression in the scaled columns)
+        # (pivot row, reduced column, its expression in the columns)
         self._steps = []
         self._where = {}  # pivot row -> its step's position in _steps
         for col in columns:
-            self.add(_scaled(col, scale))
+            self.add(col)
 
-    def add(self, vec):
-        """Reduce the next column, {row: int} in the scaled units, and store it.
+    def add(self, col):
+        """Reduce the next column, {row: int}, and store it.
 
         The column gets the next index.  Returns True when it is
         independent of the stored columns; a dependent one gets its kernel
-        vector in kernel_ints instead.  vec is reduced in place.
+        vector in kernel_ints instead.  col itself is not changed.
         """
         idx = self._ncols
         self._ncols += 1
-        expr = {idx: 1}
+        vec, expr = {r: v for r, v in col.items() if v}, {idx: 1}
         self._eliminate(vec, expr)
         if not vec:
             self.kernel_ints[idx] = _primitive(vec, expr, expr[idx])[1]
@@ -151,7 +150,7 @@ class LinSolver:
         kernel = {}
         for idx, col in enumerate(columns):
             if idx not in pivots:
-                vec, expr = _scaled(col, self._scale), {idx: 1}
+                vec, expr = {r: v for r, v in col.items() if v}, {idx: 1}
                 self._eliminate(vec, expr)
                 if vec:
                     raise ValueError(f"column {idx} is not the one stored")
@@ -239,10 +238,11 @@ class Contraction:
     d h + h d = 1 - i p and h i = p h = h h = 0 hold by construction
     (Crainic, arXiv math/0403266); tests check them.
 
-    One solver, `solver`, eliminates d_in and then the harmonic columns.
-    With the harmonic columns last, d_in's pivots and the solver's scale
-    are those of d_in alone, and since the decomposition above is unique
-    the order changes neither h nor p.  The degree one down, whose
+    All columns are {row: int}, and scale is the one factor between them
+    and d.  One solver, `solver`, eliminates d_in and then the harmonic
+    columns.  With the harmonic columns last, d_in's pivots are those of
+    d_in alone, and since the decomposition above is unique the order
+    changes neither h nor p.  The degree one down, whose
     d_out is this d_in, may pass `solver` as its `out` instead of
     eliminating the same map again: only out's first len(d_out) columns
     are read, and their kernel is rebuilt from its steps.  Without `out`,
@@ -276,7 +276,7 @@ class Contraction:
         rank_in = len(solver.pivots)
         solver.kernel_ints.clear()  # d_in's kernel: out.kernel rebuilds it
         for terms, _ in harmonic:
-            if not solver.add(_scaled(terms, solver._scale)):
+            if not solver.add(terms):
                 raise ValueError("harmonic and image columns are dependent")
         kernel = LinSolver(d_out).kernel_ints if out is None else out.kernel(d_out)
         hdim = len(kernel) - rank_in
@@ -292,18 +292,18 @@ class Contraction:
         """alpha_a as (row, den): {column: int} / den, den > 0, content-reduced.
 
         On a cycle y = sum_k t_k vec_k of the stored steps, alpha_a(y) =
-        sum_k t_k g_k with g_k = scale * den_a * expr_k[nin + a]: harmonic_a
-        was stored as scale * den_a * harmonic_a.  Each step is zero at
-        every earlier pivot row, so L[i][k] = vec_k[prow_i] is lower
-        triangular and t = L^-1 y at the pivot rows; alpha_a(y) = psi . y
-        with L^T psi = g, solved by one pass over the steps in reverse.
+        sum_k t_k g_k with g_k = den_a * expr_k[nin + a]: harmonic_a was
+        added as den_a * harmonic_a.  Each step is zero at every earlier
+        pivot row, so L[i][k] = vec_k[prow_i] is lower triangular and
+        t = L^-1 y at the pivot rows; alpha_a(y) = psi . y with
+        L^T psi = g, solved by one pass over the steps in reverse.
         split projects x to the cycle sum_f x_f kvec_f / kvec_f[f] over
         d_out's free columns f, so row_f = psi . kvec_f / kvec_f[f].
         """
         hit = self._rows[a]
         if hit is None:
             solver = self.solver
-            hcol, hnum = self._nin + a, solver._scale * self._hden[a]
+            hcol, hnum = self._nin + a, self._hden[a]
             psi, pden = {}, 1  # psi[prow] / pden
             for prow, vec, expr in reversed(solver._steps):
                 s = hnum * expr.get(hcol, 0) * pden
@@ -347,18 +347,13 @@ class Contraction:
         m = self.solver._eliminate(cycle, combo) * den * self._den
         if cycle:
             raise ValueError("cycle failed to decompose")
-        num = -self.solver._scale * self.scale
+        num = -self.scale
         nin = self._nin
         pre = {i: c * num for i, c in sorted(combo.items()) if i < nin}
         g = gcd(m, *pre.values())
         if g != 1:
             pre = {src: v // g for src, v in pre.items()}
         return pre, m // g
-
-
-def _scaled(col, scale):
-    """The column {row: int or Fraction} times scale, as {row: int}, without zeros."""
-    return {r: v.numerator * (scale // v.denominator) for r, v in col.items() if v}
 
 
 def _primitive(vec, expr, lead):

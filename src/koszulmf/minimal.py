@@ -44,7 +44,6 @@ from .lattice import (
     elements,
     homogeneity_defect,
     size,
-    weight,
 )
 from .linalg import Contraction, homology_ranks
 from .weyl import (
@@ -159,15 +158,21 @@ class _Engine:
     # -- bigraded piece plumbing --------------------------------------
 
     def exterior_label(self, key):
-        """The unique K0 with (weight, degree) matching the piece, if any."""
+        """The unique K0 with (weight, degree) matching the piece, if any.
+
+        wrep is the canonical representative (minimal entry 0), as
+        `lambda_key` makes it.  The weight of K0 is the class of -e_K0,
+        whose canonical representative is 0 on K0 and 1 off it; the empty
+        and the full set both have the zero one, and the degree n |K0|
+        tells them apart.
+        """
         wrep, qnum = key
-        target = LatticeClass(wrep)
-        for mask in range(1 << self.step):
-            if size(mask) * self.n != qnum:
-                continue
-            if weight(mask, self.n) == target:
-                return mask
-        return None
+        if not qnum:
+            return None if any(wrep) else 0
+        if max(wrep) > 1:
+            return None
+        mask = sum(1 << i for i, x in enumerate(wrep) if not x)
+        return mask if size(mask) * self.n == qnum else None
 
     def piece(self, key):
         """The piece's record (con, harm_mask, index, below).

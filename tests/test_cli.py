@@ -417,6 +417,13 @@ _MODEL_REPEATED = [
     dict(_MODEL_HEAD, generators=[_GENERATOR], tables={"2": [_ROW], "02": []}),
     dict(_MODEL_HEAD, generators=[_GENERATOR], tables={"2": [_ROW, _ROW]}),
 ]
+# (subset, document): a generator listed twice, and one with an index
+# above n+2 = 3; the message names the subset
+_MODEL_BAD_GENERATOR = [
+    ("[1]", dict(_MODEL_HEAD, generators=[_GENERATOR, _GENERATOR], tables={})),
+    ("[9]", dict(_MODEL_HEAD, generators=[dict(_GENERATOR, subset=[9])],
+                 tables={})),
+]
 
 
 @pytest.mark.parametrize("doc", [
@@ -436,6 +443,10 @@ _MODEL_REPEATED = [
     dict(_MODEL_HEAD, generators=[_GENERATOR], tables={"3": [[[1], [[1], [1]], 1, 1]]}),
     dict(_MODEL_HEAD, generators=[_GENERATOR], tables={"0": []}),
     *_MODEL_REPEATED,
+    *(doc for _, doc in _MODEL_BAD_GENERATOR),
+    # n is checked first, as a positive integer
+    *(dict(_MODEL_HEAD, n=n, generators=[_GENERATOR], tables={})
+      for n in (0, "1", 1.5, True)),
 ])
 def test_model_commands_reject_malformed_file(doc, tmp_path, capsys):
     path = tmp_path / "model.json"
@@ -447,6 +458,9 @@ def test_model_commands_reject_malformed_file(doc, tmp_path, capsys):
         _assert_names_missing_key(_MODEL_MISSING_KEY, doc, err)
         if doc in _MODEL_REPEATED:
             assert "mu^2" in err
+        for subset, bad in _MODEL_BAD_GENERATOR:
+            if doc == bad:
+                assert f"generator subset {subset}" in err
 
 
 def test_smash_dimensions(model_file, capsys):

@@ -102,12 +102,21 @@ def _kernel(solver):
     }
 
 
+def _cleared(columns):
+    """Sparse columns with `Fraction` or int values as (columns, scale):
+    the columns times scale, the lcm of their denominators, as
+    {row: int}.  linalg takes integer columns only; rank, kernel and
+    pivots do not change, and `Contraction` takes scale as the factor
+    between its columns and d."""
+    scale = lcm(*(F(v).denominator for col in columns for v in col.values()))
+    return [{r: int(v * scale) for r, v in col.items()} for col in columns], scale
+
+
 def _int_vector(vec):
     """A sparse `Fraction` vector as ({index: int}, den), the input of
     `Contraction.split`."""
-    vec = {i: F(v) for i, v in vec.items() if v}
-    den = lcm(*(v.denominator for v in vec.values()))
-    return {i: v.numerator * (den // v.denominator) for i, v in vec.items()}, den
+    (ivec,), den = _cleared([vec])
+    return ivec, den
 
 
 def _alpha(con, vec, den):
@@ -135,8 +144,13 @@ def _split(con, vec):
 
 
 def _contract(d_in, d_out, harmonic, out=None):
-    """`Contraction` at scale 1 with the harmonic columns given as vectors."""
-    return Contraction(d_in, d_out, [_int_vector(h) for h in harmonic], 1, out)
+    """`Contraction` of the rational maps d_in and d_out, each cleared of
+    its denominators, with d_in's factor as scale and the harmonic
+    columns given as vectors.  A solver passed as `out` was made from
+    d_out cleared the same way, as the d_in of the degree above."""
+    d_in, scale = _cleared(d_in)
+    return Contraction(d_in, _cleared(d_out)[0],
+                       [_int_vector(h) for h in harmonic], scale, out)
 
 
 def _solve(columns, rhs):
@@ -215,7 +229,7 @@ def _random_matrix(rng, rows, cols, density=0.6):
 def test_reduce_properties(rows, cols, seed):
     rng = random.Random(seed)
     m = _random_matrix(rng, rows, cols)
-    solver = LinSolver(m)
+    solver = LinSolver(_cleared(m)[0])
     assert len(solver.pivots) <= min(rows, cols)
     assert len(solver.pivots) + len(solver.kernel_ints) == cols
     assert not any(compose(m, list(solver.kernel_ints.values())))
@@ -282,7 +296,7 @@ def _reference_linsolver(columns):
 
 
 def _assert_matches_reference(columns, rhs_list):
-    solver = LinSolver(columns)
+    solver = LinSolver(_cleared(columns)[0])
     pivots, kernel, solve = _reference_linsolver(columns)
     assert solver.pivots == pivots
     assert _kernel(solver) == kernel
@@ -360,7 +374,7 @@ def test_linsolver_stores_primitive_integer_columns():
     # which keeps the integers from growing with the number of steps
     rng = random.Random(2024)
     for _ in range(60):
-        solver = LinSolver(_random_dependent_columns(rng, 7, 10))
+        solver = LinSolver(_cleared(_random_dependent_columns(rng, 7, 10))[0])
         for prow, col, expr in solver._steps:
             assert prow == max(col) and col[prow] > 0
             assert gcd(*col.values(), *expr.values()) == 1
@@ -372,7 +386,7 @@ def test_linsolver_stores_primitive_integer_columns():
 
 def test_linsolver_records_dependent_columns():
     cols = [{0: F(1)}, {0: F(2)}, {1: F(1)}, {0: F(1), 1: F(-3)}]
-    solver = LinSolver(cols)
+    solver = LinSolver(_cleared(cols)[0])
     assert solver.pivots == [0, 2]
     assert _kernel(solver) == {
         1: {1: F(1), 0: F(-2)}, 3: {3: F(1), 0: F(-1), 2: F(3)}
@@ -403,10 +417,10 @@ def _random_complex(seed, dims=(3, 4, 2), rank=2):
     lo, mid, hi = dims
     while True:
         d0 = _random_matrix(rng, mid, lo, density=0.8)
-        if len(LinSolver(d0).pivots) == rank:
+        if len(LinSolver(_cleared(d0)[0]).pivots) == rank:
             break
     # Rows of d1 are combinations of the cokernel of d0.
-    coker = list(_kernel(LinSolver(_transpose(d0, mid))).values())
+    coker = list(_kernel(LinSolver(_cleared(_transpose(d0, mid))[0])).values())
     rows = compose(coker, [
         {k: F(rng.randint(-2, 2)) for k in range(len(coker))} for _ in range(hi)
     ])
@@ -444,7 +458,7 @@ def assert_contraction_identities(d_in, d_out, below, mid, above):
 
 def _pick_harmonic(image, kernel):
     """Kernel vectors completing the span of the image columns to the cycles."""
-    solver = LinSolver(image + kernel)
+    solver = LinSolver(_cleared(image + kernel)[0])
     return [kernel[j - len(image)] for j in solver.pivots if j >= len(image)]
 
 
@@ -461,12 +475,12 @@ def _check_complex(dims, maps):
     for k in reversed(range(len(dims))):
         d_in = maps[k - 1] if k else []
         d_out = maps[k] if k < len(maps) else [{}] * dims[k]
-        kernel = list(_kernel(LinSolver(d_out)).values())
+        kernel = list(_kernel(LinSolver(_cleared(d_out)[0])).values())
         harmonic = _pick_harmonic(d_in, kernel)
         con = _contract(d_in, d_out, harmonic, out)
         out = con.solver
         parts.insert(0, contraction_parts(con, harmonic, dims[k]))
-    ranks = homology_ranks(dims[1:-1], maps[1:-1])
+    ranks = homology_ranks(dims[1:-1], [_cleared(m)[0] for m in maps[1:-1]])
     assert [len(i) for i, _, _ in parts] == [0] + ranks + [0]
     for k in range(1, len(dims) - 1):
         assert_contraction_identities(
@@ -523,7 +537,7 @@ def test_functional_matches_split(seed, dims, rank):
     for k, dim in enumerate(dims):
         d_in = maps[k - 1] if k else []
         d_out = maps[k] if k < len(maps) else [{}] * dim
-        kernel = list(_kernel(LinSolver(d_out)).values())
+        kernel = list(_kernel(LinSolver(_cleared(d_out)[0])).values())
         harmonic = _pick_harmonic(d_in, kernel)
         con = _contract(d_in, d_out, harmonic)
         oracle = TwoSolverContraction(d_in, d_out, harmonic, 1)
@@ -540,17 +554,21 @@ def test_functional_matches_split(seed, dims, rank):
         # built once: the row is kept with the contraction
         assert all(con.functional(a) is con.functional(a)
                    for a in range(con.nharm))
-    assert nharm == sum(homology_ranks(dims[1:-1], maps[1:-1]))
+    ranks = homology_ranks(dims[1:-1], [_cleared(m)[0] for m in maps[1:-1]])
+    assert nharm == sum(ranks)
 
 
 class TwoSolverContraction:
     """`Contraction` as it was before its solver was shared: the oracle.
 
     Harmonic columns ({row: Fraction}) are eliminated first, then d_in, in
-    one solver, and d_out in a second one for its kernel.  Only the parts
-    the comparison reads are kept: the kernel (`_cycles`, `_den`), split
-    and the functional.  Its split returns (alpha, pre, pre_den): p(x)
-    as `Fraction`s, read off the elimination, besides h(x).
+    one solver, and d_out in a second one for its kernel.  The first
+    solver's columns are cleared together, and `_factor`, the lcm of their
+    denominators, is where the elimination's units enter p and h.  Only
+    the parts the comparison reads are kept: the kernel (`_cycles`,
+    `_den`), split and the functional.  Its split returns
+    (alpha, pre, pre_den): p(x) as `Fraction`s, read off the elimination,
+    besides h(x).
     """
 
     def __init__(self, d_in, d_out, harmonic, scale):
@@ -560,10 +578,11 @@ class TwoSolverContraction:
             raise ValueError("a harmonic column is not a cocycle")
         self.nharm = nharm = len(harmonic)
         self.scale = scale
-        self._solver = solver = LinSolver(list(harmonic) + list(d_in))
+        columns, self._factor = _cleared(list(harmonic) + list(d_in))
+        self._solver = solver = LinSolver(columns)
         if any(min(vec) < nharm for vec in solver.kernel_ints.values()):
             raise ValueError("harmonic and image columns are dependent")
-        out = LinSolver(d_out)
+        out = LinSolver(_cleared(d_out)[0])
         hdim = len(d_out) - len(out.pivots) - (len(solver.pivots) - nharm)
         if hdim != nharm:
             raise ValueError(
@@ -576,7 +595,7 @@ class TwoSolverContraction:
         solver = self._solver
         psi, pden = {}, 1
         for prow, vec, expr in reversed(solver._steps):
-            s = solver._scale * expr.get(a, 0) * pden
+            s = self._factor * expr.get(a, 0) * pden
             for r, v in vec.items():
                 if r in psi:
                     s -= v * psi[r]
@@ -609,7 +628,7 @@ class TwoSolverContraction:
         m = self._solver._eliminate(cycle, combo) * den * self._den
         if cycle:
             raise ValueError("cycle failed to decompose")
-        num = -self._solver._scale
+        num = -self._factor
         harm = [ZERO] * self.nharm
         pre = {}
         for i in sorted(combo):
@@ -657,7 +676,8 @@ def test_contraction_matches_two_solver_oracle(seed, dims, rank):
     for k, dim in enumerate(dims):
         d_in = maps[k - 1] if k else []
         d_out = maps[k] if k < len(maps) else [{}] * dim
-        harmonic = _pick_harmonic(d_in, list(_kernel(LinSolver(d_out)).values()))
+        harmonic = _pick_harmonic(
+            d_in, list(_kernel(LinSolver(_cleared(d_out)[0])).values()))
         degrees.append((d_in, d_out, harmonic))
     out = None
     for k in reversed(range(len(dims))):
@@ -669,10 +689,48 @@ def test_contraction_matches_two_solver_oracle(seed, dims, rank):
         out = con.solver
 
 
+@pytest.mark.parametrize("seed, dims, rank", [
+    (7, (3, 4, 2), 2), (5, (6, 14, 5), 6),
+])
+def test_zero_entries_are_dropped_at_input(seed, dims, rank):
+    # columns with an explicit zero at every row they lack give the same
+    # pivots, kernels, ranks, h and functional rows as the columns without
+    # them.  Some zeros sit above a column's largest nonzero row: kept,
+    # such a zero would become the column's pivot
+    dims, maps = _random_complex(seed, dims, rank)
+    maps = [[{r: v for r, v in col.items() if v} for col in _cleared(m)[0]]
+            for m in maps]
+    padded = [[{r: col.get(r, 0) for r in range(dim)} for col in m]
+              for m, dim in zip(maps, dims[1:])]
+    assert any(max(col, default=-1) < dim - 1
+               for m, dim in zip(maps, dims[1:]) for col in m)
+    for m, p in zip(maps, padded):
+        want, got = LinSolver(m), LinSolver(p)
+        assert (got.pivots, got.kernel_ints, got._steps) == (
+            want.pivots, want.kernel_ints, want._steps)
+        got.kernel_ints.clear()
+        assert got.kernel(p) == want.kernel_ints
+    assert homology_ranks(dims, padded) == homology_ranks(dims, maps)
+    # the middle degree, its d_out eliminated here or read off a solver of
+    # the degree above
+    kernel = list(_kernel(LinSolver(maps[1])).values())
+    harmonic = [_int_vector(h) for h in _pick_harmonic(maps[0], kernel)]
+    want = Contraction(maps[0], maps[1], harmonic, 1)
+    harmonic = [({r: h.get(r, 0) for r in range(dims[1])}, den)
+                for h, den in harmonic]
+    for out in (None, LinSolver(padded[1])):
+        got = Contraction(padded[0], padded[1], harmonic, 1, out)
+        assert (got._cycles, got._den) == (want._cycles, want._den)
+        for j in range(dims[1]):
+            assert got.split({j: 1}, 1) == want.split({j: 1}, 1)
+        assert [got.functional(a) for a in range(got.nharm)] == [
+            want.functional(a) for a in range(want.nharm)]
+
+
 def test_linsolver_kernel_rebuilds_a_cleared_kernel():
     rng = random.Random(3)
     for _ in range(20):
-        cols = _random_dependent_columns(rng, 6, 9)
+        cols = _cleared(_random_dependent_columns(rng, 6, 9))[0]
         solver = LinSolver(cols)
         want = dict(solver.kernel_ints)
         solver.kernel_ints.clear()
@@ -682,7 +740,7 @@ def test_linsolver_kernel_rebuilds_a_cleared_kernel():
         if want:
             j = next(iter(want))
             bad = list(cols)
-            bad[j] = {r: F(1) for r in range(7)}
+            bad[j] = {r: 1 for r in range(7)}
             with pytest.raises(ValueError, match=f"column {j} is not"):
                 solver.kernel(bad)
 

@@ -9,7 +9,7 @@ from math import gcd
 import pytest
 
 from koszulmf import minimal
-from koszulmf.lattice import LatticeClass, from_elements, size
+from koszulmf.lattice import LatticeClass, from_elements, size, weight
 from koszulmf.linalg import Contraction, LinSolver, compose, homology_ranks
 from koszulmf.minimal import (
     _Engine,
@@ -43,8 +43,8 @@ from koszulmf.weyl import (
 import operator_oracle as oracle
 from operator_oracle import OperatorElement, differential, unpacked
 from test_linalg import (
-    TwoSolverContraction, _add, _identity, _split, assert_contraction_identities,
-    assert_matches_oracle, contraction_parts,
+    TwoSolverContraction, _add, _cleared, _identity, _split,
+    assert_contraction_identities, assert_matches_oracle, contraction_parts,
 )
 
 F = Fraction
@@ -215,6 +215,7 @@ def test_cohomology_dim_against_homology_ranks():
                 cols.append({index[monomial(*m)]: c for m, c in img.terms.items()})
             maps.append(cols)
         dims = [len(b) for b in bases]
+        maps = [_cleared(m)[0] for m in maps]
         assert homology_ranks(dims, maps)[1] == cohomology_dim(w, q, cfg)
 
 
@@ -658,6 +659,43 @@ def test_blocks_match_reference(cfg, arities, scale):
         assert all(type(c) is int for c in terms.values())
         parity = (sum(map(size, masks)) + len(masks) - 1) % 2
         assert all(mono_parity(m, cfg.n) == parity for m in terms)
+
+
+def _scanned_label(eng, key):
+    """`_Engine.exterior_label` as a scan over all 2^(n+2) masks: the oracle."""
+    wrep, qnum = key
+    target = LatticeClass(wrep)
+    for mask in range(1 << eng.step):
+        if size(mask) * eng.n == qnum and weight(mask, eng.n) == target:
+            return mask
+    return None
+
+
+def test_exterior_label_matches_scan():
+    # the closed form against the scan on every piece key of the n=1,
+    # weighted and n=2 builds and the keys one degree either side, on the
+    # key of every mask shifted by -1..1 degrees, and on random keys in
+    # canonical form at n = 1..4
+    rng = random.Random(23)
+    for n in range(1, 5):
+        eng = _Engine(MFConfig(n), CohomologyBasisChoice.default(n))
+        step = eng.step
+        keys = {(weight(mask, n).rep, n * size(mask) + dq)
+                for mask in range(1 << step) for dq in (-step, 0, step)}
+        for _ in range(500):
+            wrep = LatticeClass([rng.choice((0, 0, 1, 1, 2))
+                                 for _ in range(step)]).rep
+            qnum = n * rng.randint(-1, step + 1) + rng.choice((0, 0, 1))
+            keys.add((wrep, qnum))
+        for cfg, arities, _ in BUILDS:
+            if cfg.n == n:
+                keys.update(_built_engine(cfg, arities)[2])
+        labelled = 0
+        for key in keys:
+            want = _scanned_label(eng, key)
+            assert eng.exterior_label(key) == want, key
+            labelled += want is not None
+        assert labelled == 1 << step  # every mask's own key
 
 
 @pytest.mark.parametrize("cfg, arities, scale", BUILDS)

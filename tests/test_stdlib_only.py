@@ -39,7 +39,16 @@ def test_runtime_does_not_import_random():
 def test_linalg_is_integer_only():
     # the elimination and the contraction work on integer vectors over one
     # denominator; p is read off integer functional rows, so linalg needs
-    # no Fraction
+    # no Fraction.  Its columns are integers, with Contraction's scale the
+    # one factor between them and d: no code reads a denominator off them
     names = {name for fname, _, name in _imports() if fname == "linalg.py"}
     assert "math" in names  # the walker reached linalg.py
     assert "fractions" not in names
+    path = SRC / "linalg.py"
+    attrs = [(node.lineno, node.attr)
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Attribute)]
+    assert any(attr == "kernel_ints" for _, attr in attrs)  # reached its code
+    for line, attr in attrs:
+        assert attr not in ("numerator", "denominator"), (
+            f"linalg.py:{line} reads .{attr}")
