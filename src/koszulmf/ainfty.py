@@ -23,12 +23,8 @@ from fractions import Fraction
 from itertools import product
 from math import comb, lcm
 
-from .lattice import (
-    fractional_grading,
-    integer_grading,
-    size,
-    weight as lattice_weight,
-)
+from .lattice import canonical, fractional_grading, integer_grading, size
+from .lattice import weight as lattice_weight
 
 ZERO = Fraction(0)
 
@@ -98,8 +94,8 @@ class FiniteAInftyAlgebra:
     """Structure constants of a finite A-infinity algebra.
 
     ops[k] maps (output label, input tuple) -> coefficient.  zdeg gives
-    the integer degree of each basis label; weight and qdeg are optional
-    refinements used by smash products and the grading validator.
+    each label's integer degree; weight (canonical tuples) and qdeg are
+    optional refinements used by smash products and the grading validator.
     """
 
     basis: list
@@ -114,13 +110,12 @@ class FiniteAInftyAlgebra:
     def validate_graded(self):
         """Weight additivity and Q-degree 2-k on every stored entry.
 
-        Runs on integers: the weights' representatives are summed as
+        Runs on integers: the weights' canonical tuples are summed as
         vectors, and the degrees are scaled by the lcm of their
         denominators.
         """
         if self.weight is None or self.qdeg is None:
             raise ValueError("algebra carries no weight/degree data")
-        reps = {x: w.rep for x, w in self.weight.items()}
         scale = lcm(*(q.denominator for q in self.qdeg.values()))
         qint = {x: q.numerator * (scale // q.denominator)
                 for x, q in self.qdeg.items()}
@@ -129,9 +124,8 @@ class FiniteAInftyAlgebra:
             for (out, ins), coef in table.items():
                 if not coef:
                     continue
-                w = [sum(col) for col in zip(*(reps[x] for x in ins))]
-                low = min(w)
-                if tuple(v - low for v in w) != reps[out]:
+                w = [sum(col) for col in zip(*(self.weight[x] for x in ins))]
+                if canonical(w) != self.weight[out]:
                     raise ValueError(f"weight not additive on {ins} -> {out}")
                 if qint[out] != sum(qint[x] for x in ins) + shift:
                     raise ValueError(f"degree of mu^{k} is not 2-{k} on {ins}")
@@ -535,11 +529,10 @@ class FiniteAbelianGroupData:
     def characters(self):
         return list(product(*(range(f) for f in self.factors)))
 
-    def apply(self, wclass):
-        """rho of a lattice class, as a group element tuple."""
-        vec = wclass.rep
+    def apply(self, wrep):
+        """rho of a weight representative, as a group element tuple."""
         return tuple(
-            sum(vec[j] * self.rho[j][i] for j in range(len(vec))) % f
+            sum(x * self.rho[j][i] for j, x in enumerate(wrep)) % f
             for i, f in enumerate(self.factors)
         )
 
@@ -562,9 +555,9 @@ def smash(alg, grp):
     if alg.weight is None:
         raise ValueError("smash needs an algebra with weights")
     for w in alg.weight.values():
-        if len(w.rep) != len(grp.rho):
+        if len(w) != len(grp.rho):
             raise ValueError(
-                f"rho has {len(grp.rho)} rows, weights have {len(w.rep)} entries"
+                f"rho has {len(grp.rho)} rows, weights have {len(w)} entries"
             )
     chars = grp.characters()
     m = grp.modulus

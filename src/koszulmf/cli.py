@@ -34,7 +34,10 @@ from .ainfty import (
     smash,
     supercommutativity_check,
 )
-from .lattice import LatticeClass, elements, from_elements, size, weight
+from .lattice import (
+    canonical, elements, fractional_grading, from_elements, integer_grading,
+    size, weight,
+)
 from .linalg import NotAComplex, homology_ranks
 from .minimal import (
     CohomologyBasisChoice,
@@ -122,37 +125,55 @@ def _tables_payload(ops, row=_model_row):
     }
 
 
-def _model_payload(n, weights, aux, alg):
+def _model_payload(cfg, choice, alg):
     gens = [
         {
             "subset": _subset(m),
             "zdeg": alg.zdeg[m],
             "qdeg": _rat(alg.qdeg[m]),
-            "weight": list(alg.weight[m].rep),
+            "weight": list(alg.weight[m]),
         }
         for m in sorted(alg.basis)
     ]
     return {
         "schema": MODEL_SCHEMA,
-        "n": n,
-        "weights": [_rat(a) for a in weights],
-        "aux": list(aux),
+        "n": cfg.n,
+        "weights": [_rat(a) for a in cfg.a],
+        "aux": list(choice.aux),
         "generators": gens,
         "tables": _tables_payload(alg.ops),
     }
 
 
+def _choice(aux, nvars, what):
+    """The CohomologyBasisChoice of aux, which must list nvars int indices."""
+    if not isinstance(aux, list) or not all(map(_is_int, aux)):
+        raise ValueError(f"{what} must list integer indices")
+    # the count first: a range check on too few indices misleads
+    if len(aux) != nvars:
+        raise ValueError(f"{what} needs {nvars} indices, got {len(aux)}")
+    return CohomologyBasisChoice(tuple(aux))
+
+
 def _load_model_file(path):
+    """(cfg, choice, algebra) of a model document or `minimal-model` report.
+    Each generator gets the gradings of its subset, and one that records
+    others (a weight being any representative of its class) is rejected."""
     with open(path) as fh:
         doc = json.load(fh)
     if isinstance(doc, dict) and isinstance(doc.get("results"), dict):
         doc = doc["results"].get("model", doc)
     if not isinstance(doc, dict) or doc.get("schema") != MODEL_SCHEMA:
         raise ValueError(f"{path}: not a {MODEL_SCHEMA} document")
-    _require_keys(doc, ("n", "generators", "tables"), path)
+    _require_keys(doc, ("n", "weights", "aux", "generators", "tables"), path)
     n = doc["n"]
     if type(n) is not int or n < 1:
         raise ValueError(f"{path}: n must be a positive integer, got {n!r}")
+    try:  # tuple(): MFConfig would read null weights as the default ones
+        cfg = MFConfig(n, tuple(doc["weights"]))
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"{path}: weights: {exc}") from exc
+    choice = _choice(doc["aux"], cfg.nvars, f"{path}: aux")
     basis, zdeg, qdeg, wt, ops = [], {}, {}, {}, {}
     try:
         for g in doc["generators"]:
@@ -165,9 +186,11 @@ def _load_model_file(path):
                 raise ValueError(
                     f"{path}: generator subset {_subset(m)} is listed twice")
             basis.append(m)
-            zdeg[m] = int(g["zdeg"])
-            qdeg[m] = Fraction(g["qdeg"])
-            wt[m] = LatticeClass(g["weight"])
+            zdeg[m], qdeg[m], wt[m] = grading = (
+                integer_grading(m, n), fractional_grading(m, n), weight(m, n))
+            if (g["zdeg"], Fraction(g["qdeg"]), canonical(g["weight"])) != grading:
+                raise ValueError(f"{path}: generator subset {_subset(m)} "
+                                 f"records gradings other than its subset's")
         for key, rows in doc["tables"].items():
             arity = int(key)
             if arity < 1:
@@ -190,8 +213,7 @@ def _load_model_file(path):
     except (AttributeError, TypeError, ZeroDivisionError) as exc:
         # a generator, table or row of the wrong shape, or a zero denominator
         raise ValueError(f"{path}: malformed {MODEL_SCHEMA} document: {exc}") from exc
-    _require_keys(doc, ("weights", "aux"), path)  # echoed into reports
-    return doc, FiniteAInftyAlgebra(basis, zdeg, ops, wt, qdeg)
+    return cfg, choice, FiniteAInftyAlgebra(basis, zdeg, ops, wt, qdeg)
 
 
 def _cmd_mf_check(args):
@@ -230,10 +252,8 @@ def _cmd_mf_check(args):
     by_size = [0] * (n2 + 1)
     all_one = True
     for mask in range(1 << n2):
-        w = weight(mask, cfg.n)
-        q = Fraction(cfg.n * size(mask), n2)
         try:
-            dim = cohomology_dim(w, q, cfg)
+            dim = cohomology_dim(weight(mask, cfg.n), cfg.n * size(mask), cfg)
         except NotAComplex:  # a failed check, reported as such: no dimension
             dim = None
             d2_ok = all_one = False
@@ -261,12 +281,8 @@ def _cmd_minimal_model(args):
     cfg = MFConfig(n, weights)
     choice = CohomologyBasisChoice.default(n)
     if args.dbar_aux:
-        aux = tuple(int(s) for s in args.dbar_aux.split(","))
-        # the count first: a range check on too few indices misleads
-        if len(aux) != cfg.nvars:
-            raise ValueError(
-                f"--dbar-aux needs {cfg.nvars} indices, got {len(aux)}")
-        choice = CohomologyBasisChoice(aux)
+        aux = [int(s) for s in args.dbar_aux.split(",")]
+        choice = _choice(aux, cfg.nvars, "--dbar-aux")
     top = args.max_arity if args.max_arity is not None else n + 2
     if top < 2:
         raise ValueError("max arity must be at least 2")
@@ -313,7 +329,7 @@ def _cmd_minimal_model(args):
         and unit is not False
     )
     return {
-        "model": _model_payload(n, cfg.a, choice.aux, alg),
+        "model": _model_payload(cfg, choice, alg),
         "checks": {
             "stasheff_max_arity": stasheff_to,
             "stasheff_violations": [
@@ -503,18 +519,8 @@ def _cmd_rnc(args):
 
 
 def _cmd_opposite(args):
-    doc, alg = _load_model_file(args.model)
-    op = opposite(alg)
-    return {
-        "model": {
-            "schema": MODEL_SCHEMA,
-            "n": doc["n"],
-            "weights": doc["weights"],
-            "aux": doc["aux"],
-            "generators": doc["generators"],
-            "tables": _tables_payload(op.ops),
-        }
-    }, True
+    cfg, choice, alg = _load_model_file(args.model)
+    return {"model": _model_payload(cfg, choice, opposite(alg))}, True
 
 
 def _parse_group(spec):
@@ -532,7 +538,7 @@ def _parse_group(spec):
 
 
 def _cmd_smash(args):
-    doc, alg = _load_model_file(args.model)
+    cfg, _, alg = _load_model_file(args.model)
     grp = _parse_group(args.group)
     sm = smash(alg, grp)
 
@@ -558,7 +564,7 @@ def _cmd_smash(args):
 
     return {
         "schema": "koszulmf-smash/1",
-        "n": doc["n"],
+        "n": cfg.n,
         "group": {
             "factors": list(grp.factors),
             "rho": [list(r) for r in grp.rho],

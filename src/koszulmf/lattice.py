@@ -2,8 +2,8 @@
 
 The ambient lattice is Z^(n+2) with standard basis e_1, ..., e_(n+2);
 subsets K of {1, ..., n+2} give 0/1 vectors e_K.  Weights live in the
-quotient M = Z^(n+2) / Z(1, ..., 1), represented canonically by the
-translate whose minimal entry is 0.
+quotient M = Z^(n+2) / Z(1, ..., 1); a weight is always the int tuple
+`canonical` returns, the translate whose minimal entry is 0.
 
 Subsets are passed around as bitmasks: bit i-1 of the mask stands for
 the index i.  Helpers convert to and from 1-based element tuples.
@@ -58,43 +58,21 @@ def e_vec(mask, n):
     return tuple(1 if mask >> i & 1 else 0 for i in range(n + 2))
 
 
-class LatticeClass:
-    """A class in M = Z^(n+2) / Z(1,...,1), canonically represented.
+def canonical(entries):
+    """The representative of a vector's class in M with minimal entry 0.
 
-    The representative is the translate by multiples of (1,...,1) whose
-    minimal entry is 0, so equality and hashing are well defined.
+    >>> canonical((3, 1, 2))
+    (2, 0, 1)
     """
-
-    __slots__ = ("rep",)
-
-    def __init__(self, entries):
-        entries = tuple(int(x) for x in entries)
-        if not entries:
-            raise ValueError("empty lattice vector")
-        m = min(entries)
-        self.rep = tuple(x - m for x in entries)
-
-    def __eq__(self, other):
-        return isinstance(other, LatticeClass) and self.rep == other.rep
-
-    def __hash__(self):
-        return hash(self.rep)
-
-    def __add__(self, other):
-        return LatticeClass(tuple(a + b for a, b in zip(self.rep, other.rep)))
-
-    def __neg__(self):
-        return LatticeClass(tuple(-a for a in self.rep))
-
-    def __repr__(self):
-        return f"LatticeClass{self.rep}"
+    low = min(entries)
+    return tuple(x - low for x in entries)
 
 
 def weight(mask, n):
     """M-weight of the cohomology generator indexed by a subset: the class
-    of -e_K, the weight of its representative dbar_K (dtheta_j has
-    weight -e_j)."""
-    return LatticeClass(tuple(-x for x in e_vec(mask, n)))
+    of -e_K, the weight of its representative dbar_K (dtheta_j has weight
+    -e_j); 0 on K and 1 off it, or all 0 for K empty or full."""
+    return canonical(tuple(-x for x in e_vec(mask, n)))
 
 
 def integer_grading(mask, n, nvec=None):

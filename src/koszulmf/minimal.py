@@ -1,8 +1,10 @@
 """Minimal A-infinity model of the Koszul factorization endomorphism dga.
 
 The operator dga (B, d) from `weyl` decomposes into finite bigraded
-pieces indexed by (weight class, rational degree).  Its cohomology is an
-exterior algebra on n+2 odd generators, one per variable; this module
+pieces, each keyed by (wrep, qnum): its weight's canonical tuple and its
+rational degree times n+2, the key `weyl.bigraded_basis` takes.  Its
+cohomology is an exterior algebra on n+2 odd generators, one per
+variable; this module
 
   * builds explicit cocycle representatives dbar_j and their ordered
     products dbar_K,
@@ -39,12 +41,7 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import gcd, lcm
 
-from .lattice import (
-    LatticeClass,
-    elements,
-    homogeneity_defect,
-    size,
-)
+from .lattice import elements, homogeneity_defect, size
 from .linalg import Contraction, homology_ranks
 from .weyl import (
     MFConfig,
@@ -195,13 +192,13 @@ class _Engine:
             wrep, qnum = key
             up = self._pieces.get((wrep, qnum + self.step))
             if up is None:
-                basis, out = _basis(wrep, qnum, cfg), None
-                above = _basis(wrep, qnum + self.step, cfg)
+                basis, out = bigraded_basis(wrep, qnum, cfg), None
+                above = bigraded_basis(wrep, qnum + self.step, cfg)
                 rows = {m: i for i, m in enumerate(above)}
             else:
                 up_con, _, rows, basis = up
                 out = up_con.solver
-            below = _basis(wrep, qnum - self.step, cfg)
+            below = bigraded_basis(wrep, qnum - self.step, cfg)
             index = {m: i for i, m in enumerate(basis)}
             d_in = differential_columns(below, index, cfg)
             d_out = differential_columns(basis, rows, cfg)
@@ -353,18 +350,11 @@ def _cached_engine(cfg, choice):
     return _Engine(cfg, choice)
 
 
-def _basis(wrep, qnum, cfg):
-    """`bigraded_basis` of the piece (wrep, qnum), qnum the degree times n+2."""
-    return bigraded_basis(LatticeClass(wrep), Fraction(qnum, cfg.nvars), cfg)
-
-
-def cohomology_dim(w, q, cfg):
-    """Rank of the cohomology of (B, d) in the piece (w, q), from the
-    pieces one degree below, at and above it and D * d between them."""
-    qnum = Fraction(q) * cfg.nvars
-    if qnum.denominator != 1:
-        return 0
-    bases = [_basis(w.rep, int(qnum) + i * cfg.nvars, cfg) for i in (-1, 0, 1)]
+def cohomology_dim(wrep, qnum, cfg):
+    """Rank of the cohomology of (B, d) in the piece (wrep, qnum), keyed
+    as in `bigraded_basis`, from the pieces one degree below, at and
+    above it and D * d between them."""
+    bases = [bigraded_basis(wrep, qnum + i * cfg.nvars, cfg) for i in (-1, 0, 1)]
     maps = [differential_columns(src, {m: i for i, m in enumerate(dst)}, cfg)
             for src, dst in zip(bases, bases[1:])]
     return homology_ranks([len(b) for b in bases], maps)[1]

@@ -44,7 +44,8 @@ coefficient) pairs, offsets taken from the monomial itself.  A column of
 
 Gradings: |z_j| = 2/(n+2), |theta_j| = -n/(n+2), |dtheta_j| = n/(n+2);
 the M-weight of z^a theta_S dtheta_T is the class of a + e_S - e_T and
-its parity is |S| + |T| mod 2.
+its parity is |S| + |T| mod 2.  A bigraded piece is keyed by (wrep,
+qnum): a weight representative and the degree times n+2.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .lattice import LatticeClass, elements, size
+from .lattice import canonical, elements, size
 
 EXP_BITS = 8
 FIELD_MAX = (1 << EXP_BITS) - 1  # the largest exponent a field holds
@@ -141,6 +142,7 @@ def mono_qdeg_num(mono, n):
 
 
 def mono_weight(mono, n):
+    """Canonical tuple of the M-weight a + e_S - e_T."""
     a, s, t = decode(mono, n + 2)
     vec = list(a)
     for i in range(n + 2):
@@ -148,7 +150,7 @@ def mono_weight(mono, n):
             vec[i] += 1
         if t >> i & 1:
             vec[i] -= 1
-    return LatticeClass(vec)
+    return canonical(vec)
 
 
 def _pairs_above(a, b):
@@ -381,26 +383,23 @@ def _pair_layout(nvars):
     return tuple((d, tuple(g)) for d, g in groups.items()), adjust
 
 
-def bigraded_basis(wclass, qdeg, cfg):
-    """Ordered monomial basis of the piece with weight wclass, degree qdeg.
+def bigraded_basis(wrep, qnum, cfg):
+    """Ordered monomial basis of the piece (wrep, qnum).
 
-    qdeg is the rational cohomological degree; qdeg*(n+2) must be an
-    integer.  Monomials are listed lexicographically on (a, S, T) with
-    subsets compared as ascending element tuples, so the order is a
-    reproducible contract.  Raises ValueError when an exponent of the
-    piece exceeds FIELD_MAX.
+    The piece key is the engine's: wrep is a weight representative, any
+    translate by m(1, ..., 1) naming the same class and the same basis,
+    and qnum is the rational cohomological degree times n+2, an int.
+    Monomials are listed lexicographically on (a, S, T) with subsets
+    compared as ascending element tuples, so the order is a reproducible
+    contract.  Raises ValueError when an exponent of the piece exceeds
+    FIELD_MAX.
 
-    A monomial with |S| - |T| = d has a = w + m(1, ..., 1) - e_S + e_T,
-    where w is the weight's representative and m depends on d alone, so
-    the pairs are enumerated by d.
+    A monomial with |S| - |T| = d has a = wrep + m(1, ..., 1) - e_S + e_T,
+    where m depends on d alone (and absorbs the translate), so the pairs
+    are enumerated by d.
     """
     n = cfg.n
     n2 = cfg.nvars
-    qnum = Fraction(qdeg) * (n + 2)
-    if qnum.denominator != 1:
-        raise ValueError(f"degree {qdeg} is not a multiple of 1/{n + 2}")
-    qnum = int(qnum)
-    wrep = wclass.rep
     wsum = sum(wrep)
     groups, adjust = _pair_layout(n2)
     out = []

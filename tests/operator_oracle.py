@@ -140,15 +140,11 @@ def differential_columns(basis, index, cfg):
     return cols
 
 
-def bigraded_basis(wclass, qdeg, cfg):
-    """The piece's tuple monomials, sorted on (a, S, T) with subsets
-    compared as ascending element tuples."""
+def bigraded_basis(wrep, qnum, cfg):
+    """The tuple monomials of the piece (wrep, qnum), sorted on (a, S, T)
+    with subsets compared as ascending element tuples."""
     n = cfg.n
     n2 = cfg.nvars
-    qnum = Fraction(qdeg) * n2
-    assert qnum.denominator == 1
-    qnum = int(qnum)
-    wrep = wclass.rep
     wsum = sum(wrep)
     out = []
     for s in range(1 << n2):

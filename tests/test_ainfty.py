@@ -754,7 +754,7 @@ def test_smash_block_dimensions(alg_n1):
     sm = smash(alg_n1, _sum_map_group(1))
     counts = {}
     for a, chi in sm.basis:
-        r = cover_residue(sm.weight[(a, chi)].rep, 1)
+        r = cover_residue(sm.weight[(a, chi)], 1)
         counts[(chi, r)] = counts.get((chi, r), 0) + 1
     pattern = exterior_residue_dims(1)
     for chi in _sum_map_group(1).characters():

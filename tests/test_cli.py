@@ -305,7 +305,9 @@ _LABELS_MISSING_KEY = [
 
 _MODEL_HEAD = {"schema": "koszulmf-model/1", "n": 1,
                "weights": ["1/3", "1/3", "1/3"], "aux": [2, 1, 1]}
-_GENERATOR = {"subset": [1], "zdeg": 1, "qdeg": "1/3", "weight": [-1, 0, 0]}
+# the gradings `minimal-model --n 1` writes for [1], its weight as
+# another representative of the class (0, 1, 1)
+_GENERATOR = {"subset": [1], "zdeg": 3, "qdeg": "1/3", "weight": [-1, 0, 0]}
 
 _MODEL_MISSING_KEY = [
     ("tables", dict(_MODEL_HEAD, generators=[])),
@@ -417,12 +419,22 @@ _MODEL_REPEATED = [
     dict(_MODEL_HEAD, generators=[_GENERATOR], tables={"2": [_ROW], "02": []}),
     dict(_MODEL_HEAD, generators=[_GENERATOR], tables={"2": [_ROW, _ROW]}),
 ]
-# (subset, document): a generator listed twice, and one with an index
-# above n+2 = 3; the message names the subset
+# (subset, document): a generator listed twice, one with an index above
+# n+2 = 3, and ones recording a zdeg, qdeg or weight other than those of
+# their subset; the message names the subset
 _MODEL_BAD_GENERATOR = [
     ("[1]", dict(_MODEL_HEAD, generators=[_GENERATOR, _GENERATOR], tables={})),
     ("[9]", dict(_MODEL_HEAD, generators=[dict(_GENERATOR, subset=[9])],
                  tables={})),
+    *(("[1]", dict(_MODEL_HEAD, generators=[dict(_GENERATOR, **bad)], tables={}))
+      for bad in ({"zdeg": 2}, {"qdeg": "2/3"}, {"weight": [5, 0, 0]})),
+]
+# (key, document): weights that are not rationals or are missing, and
+# fewer than n+2 auxiliary indices; the message names the key
+_MODEL_BAD_HEAD = [
+    *(("weights", dict(_MODEL_HEAD, weights=bad, generators=[_GENERATOR],
+                       tables={})) for bad in (["x", "y"], None)),
+    ("aux", dict(_MODEL_HEAD, aux=[2, 1], generators=[_GENERATOR], tables={})),
 ]
 
 
@@ -444,6 +456,7 @@ _MODEL_BAD_GENERATOR = [
     dict(_MODEL_HEAD, generators=[_GENERATOR], tables={"0": []}),
     *_MODEL_REPEATED,
     *(doc for _, doc in _MODEL_BAD_GENERATOR),
+    *(doc for _, doc in _MODEL_BAD_HEAD),
     # n is checked first, as a positive integer
     *(dict(_MODEL_HEAD, n=n, generators=[_GENERATOR], tables={})
       for n in (0, "1", 1.5, True)),
@@ -461,6 +474,21 @@ def test_model_commands_reject_malformed_file(doc, tmp_path, capsys):
         for subset, bad in _MODEL_BAD_GENERATOR:
             if doc == bad:
                 assert f"generator subset {subset}" in err
+        for key, bad in _MODEL_BAD_HEAD:
+            if doc == bad:
+                assert f"{path}: {key}" in err
+
+
+def test_model_file_gradings_come_from_the_subsets(tmp_path, capsys):
+    # a recorded weight may be any representative of its class; the
+    # report writes the canonical one
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(dict(_MODEL_HEAD, generators=[_GENERATOR],
+                                    tables={})))
+    code, out, _ = run_cli(["opposite", "--model", str(path)], capsys)
+    assert code == 0
+    assert report(out)["results"]["model"]["generators"] == [
+        dict(_GENERATOR, weight=[0, 1, 1])]
 
 
 def test_smash_dimensions(model_file, capsys):

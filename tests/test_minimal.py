@@ -9,7 +9,7 @@ from math import gcd
 import pytest
 
 from koszulmf import minimal
-from koszulmf.lattice import LatticeClass, from_elements, size, weight
+from koszulmf.lattice import canonical, from_elements, size, weight
 from koszulmf.linalg import Contraction, LinSolver, compose, homology_ranks
 from koszulmf.minimal import (
     _Engine,
@@ -51,8 +51,9 @@ F = Fraction
 
 
 def _exterior_piece(kmask, n):
-    w = LatticeClass(tuple(-1 if kmask >> i & 1 else 0 for i in range(n + 2)))
-    return w, F(n * size(kmask), n + 2)
+    """The engine's key (wrep, qnum) of the piece holding e_K."""
+    wrep = canonical(tuple(-1 if kmask >> i & 1 else 0 for i in range(n + 2)))
+    return wrep, n * size(kmask)
 
 
 def test_choice_validation():
@@ -98,7 +99,7 @@ def test_dbar_is_cocycle_with_right_grading(n):
     for j in range(1, n + 3):
         terms, _ = dbar(j, choice, cfg)
         assert scaled_differential(terms, cfg) == {}
-        wref = LatticeClass(tuple(-1 if i == j - 1 else 0 for i in range(n + 2)))
+        wref = canonical(tuple(-1 if i == j - 1 else 0 for i in range(n + 2)))
         for mono in terms:
             assert mono_parity(mono, n) == 1
             assert mono_weight(mono, n) == wref
@@ -168,8 +169,7 @@ def test_default_choice_is_resolved_once_per_n(monkeypatch):
 def test_cohomology_dim_exterior_pieces(n):
     cfg = MFConfig(n)
     for kmask in range(1 << (n + 2)):
-        w, q = _exterior_piece(kmask, n)
-        assert cohomology_dim(w, q, cfg) == 1
+        assert cohomology_dim(*_exterior_piece(kmask, n), cfg) == 1
 
 
 def test_cohomology_dim_vanishes_off_exterior_pieces():
@@ -178,16 +178,15 @@ def test_cohomology_dim_vanishes_off_exterior_pieces():
         cfg = MFConfig(n)
         checked = 0
         while checked < 20:
-            wrep = tuple(rng.randrange(3) for _ in range(n + 2))
+            wrep = canonical(tuple(rng.randrange(3) for _ in range(n + 2)))
             qnum = rng.randrange(-4, 9)
-            w = LatticeClass(wrep)
             exterior = any(
-                _exterior_piece(k, n) == (w, F(qnum, n + 2))
+                _exterior_piece(k, n) == (wrep, qnum)
                 for k in range(1 << (n + 2))
             )
             if exterior:
                 continue
-            assert cohomology_dim(w, F(qnum, n + 2), cfg) == 0
+            assert cohomology_dim(wrep, qnum, cfg) == 0
             checked += 1
 
 
@@ -197,13 +196,9 @@ def test_cohomology_dim_against_homology_ranks():
     n = 1
     cfg = MFConfig(n)
     for kmask in (0b001, 0b011, 0b111, 0):
-        w, q = _exterior_piece(kmask, n)
-        qnum = int(q * (n + 2))
-        bases = []
-        for dq in (-1, 0, 1):
-            bases.append(
-                bigraded_basis(w, F(qnum + dq * (n + 2), n + 2), cfg)
-            )
+        wrep, qnum = _exterior_piece(kmask, n)
+        bases = [bigraded_basis(wrep, qnum + dq * (n + 2), cfg)
+                 for dq in (-1, 0, 1)]
         maps = []
         for src, dst in ((0, 1), (1, 2)):
             index = {m: i for i, m in enumerate(bases[dst])}
@@ -216,7 +211,7 @@ def test_cohomology_dim_against_homology_ranks():
             maps.append(cols)
         dims = [len(b) for b in bases]
         maps = [_cleared(m)[0] for m in maps]
-        assert homology_ranks(dims, maps)[1] == cohomology_dim(w, q, cfg)
+        assert homology_ranks(dims, maps)[1] == cohomology_dim(wrep, qnum, cfg)
 
 
 def test_cohomology_dim_creates_no_engine():
@@ -234,8 +229,7 @@ def _engine_at(kmask, n=1):
     cfg = MFConfig(n)
     choice = CohomologyBasisChoice.default(n)
     eng = _Engine(cfg, choice)
-    w, q = _exterior_piece(kmask, n)
-    return eng, (w.rep, int(q * (n + 2))), choice, cfg
+    return eng, _exterior_piece(kmask, n), choice, cfg
 
 
 def _shifted(eng, key, degrees):
@@ -261,9 +255,7 @@ def _maps_and_bases(eng):
     for key in list(bases):
         above = _shifted(eng, key, 1)
         if above not in bases:
-            bases[above] = bigraded_basis(
-                LatticeClass(above[0]), F(above[1], eng.step), eng.cfg
-            )
+            bases[above] = bigraded_basis(*above, eng.cfg)
         tindex = {m: i for i, m in enumerate(bases[above])}
         maps[key] = differential_columns(bases[key], tindex, eng.cfg)
     return maps, bases
@@ -365,8 +357,7 @@ def test_engine_contraction_identities():
             eng.mu(tup)
     exterior = {}
     for kmask in (0b001, 0b011, 0b111):
-        w, q = _exterior_piece(kmask, n)
-        exterior[(w.rep, int(q * (n + 2)))] = kmask
+        exterior[_exterior_piece(kmask, n)] = kmask
     keys = set(eng._pieces) | set(exterior)
     assert len(keys) > len(exterior)
     for key in keys:
@@ -465,8 +456,7 @@ def test_mu_functional_matches_split(cfg, arities):
             key = eng.lambda_key(tup)
             _, harm_mask, index, below = eng.piece(key)
             if key not in oracles:
-                wrep, qnum = _shifted(eng, key, 1)
-                above = bigraded_basis(LatticeClass(wrep), F(qnum, eng.step), cfg)
+                above = bigraded_basis(*_shifted(eng, key, 1), cfg)
                 oracles[key] = _two_solver_oracle(
                     eng, key, differential_columns(below, index, cfg),
                     differential_columns(
@@ -597,9 +587,7 @@ def test_bases_match_tuple_oracle(cfg, arities, scale):
     assert len(bases) == BUILD_COUNTS[cfg][2]
     for (wrep, qnum), basis in bases.items():
         decoded = [decode(m, cfg.nvars) for m in basis]
-        assert decoded == oracle.bigraded_basis(
-            LatticeClass(wrep), F(qnum, cfg.nvars), cfg
-        ), (wrep, qnum)
+        assert decoded == oracle.bigraded_basis(wrep, qnum, cfg), (wrep, qnum)
 
 
 def _reference_h(eng, x, key):
@@ -664,9 +652,8 @@ def test_blocks_match_reference(cfg, arities, scale):
 def _scanned_label(eng, key):
     """`_Engine.exterior_label` as a scan over all 2^(n+2) masks: the oracle."""
     wrep, qnum = key
-    target = LatticeClass(wrep)
     for mask in range(1 << eng.step):
-        if size(mask) * eng.n == qnum and weight(mask, eng.n) == target:
+        if size(mask) * eng.n == qnum and weight(mask, eng.n) == wrep:
             return mask
     return None
 
@@ -680,11 +667,11 @@ def test_exterior_label_matches_scan():
     for n in range(1, 5):
         eng = _Engine(MFConfig(n), CohomologyBasisChoice.default(n))
         step = eng.step
-        keys = {(weight(mask, n).rep, n * size(mask) + dq)
+        keys = {(weight(mask, n), n * size(mask) + dq)
                 for mask in range(1 << step) for dq in (-step, 0, step)}
         for _ in range(500):
-            wrep = LatticeClass([rng.choice((0, 0, 1, 1, 2))
-                                 for _ in range(step)]).rep
+            wrep = canonical([rng.choice((0, 0, 1, 1, 2))
+                              for _ in range(step)])
             qnum = n * rng.randint(-1, step + 1) + rng.choice((0, 0, 1))
             keys.add((wrep, qnum))
         for cfg, arities, _ in BUILDS:
