@@ -40,6 +40,7 @@ from .lattice import (
 )
 from .linalg import NotAComplex, homology_ranks
 from .minimal import (
+    BadChoice,
     CohomologyBasisChoice,
     build_minimal_model,
     cohomology_dim,
@@ -152,7 +153,10 @@ def _choice(aux, nvars, what):
     # the count first: a range check on too few indices misleads
     if len(aux) != nvars:
         raise ValueError(f"{what} needs {nvars} indices, got {len(aux)}")
-    return CohomologyBasisChoice(tuple(aux))
+    try:
+        return CohomologyBasisChoice(tuple(aux))
+    except BadChoice as exc:
+        raise ValueError(f"{what}: {exc}") from exc
 
 
 def _load_model_file(path):
@@ -188,7 +192,12 @@ def _load_model_file(path):
             basis.append(m)
             zdeg[m], qdeg[m], wt[m] = grading = (
                 integer_grading(m, n), fractional_grading(m, n), weight(m, n))
-            if (g["zdeg"], Fraction(g["qdeg"]), canonical(g["weight"])) != grading:
+            try:
+                recorded = (g["zdeg"], Fraction(g["qdeg"]), canonical(g["weight"]))
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
+                raise ValueError(
+                    f"{path}: generator subset {_subset(m)}: {exc}") from exc
+            if recorded != grading:
                 raise ValueError(f"{path}: generator subset {_subset(m)} "
                                  f"records gradings other than its subset's")
         for key, rows in doc["tables"].items():

@@ -9,22 +9,25 @@ and ranks and kernels do not depend on it.
 There is one elimination kernel, `LinSolver`: incremental elimination
 over integer columns in their given order, one `add` per column.  One
 pass gives the independent columns and the canonical kernel;
-`homology_ranks` is built on it.  It is fraction-free.  There is one
-contraction, `Contraction`, the per-degree splitting of `minimal`'s
-transfer, built and checked from the maps into and out of its degree.
-It eliminates the map into its degree and then its harmonic columns in
-one solver, which the degree below can reuse as the map out of it, so a
-map shared by two contracted degrees need not be eliminated twice.  Its
-`split` reduces integer vectors by the same elimination and returns the
-homotopy h only; the projection p is read off `functional`, one exact
-integer row per harmonic column.  Every result is an integer vector over
-one denominator: this module makes no `Fraction`.
+`homology_ranks` is built on it.  It is fraction-free, and a stored
+column's pivot is its largest row.  There is one contraction,
+`Contraction`, the per-degree splitting of `minimal`'s transfer, built
+and checked from the maps into and out of its degree.  It eliminates the
+map into its degree and then its harmonic columns in one solver, which
+the degree below can reuse as the map out of it, so a map shared by two
+contracted degrees need not be eliminated twice.  Because pivots are
+largest rows, that solver's pivot rows are the free columns of the map
+out of the degree, so no kernel of that map is built.  Its `split`
+reduces integer vectors by the same elimination and returns the homotopy
+h only; the projection p is read off `functional`, one exact integer
+row per harmonic column.  Every result is an integer vector over one
+denominator: this module makes no `Fraction`.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd
 
 
 class NotAComplex(ValueError):
@@ -84,25 +87,27 @@ class LinSolver:
     pivots lists the independent columns and kernel_ints maps each
     dependent column to its kernel vector, both in ascending order; a
     kernel vector is a primitive integer vector, positive at its own
-    column.  `kernel` rebuilds the kernel vectors of a leading run of
-    columns after kernel_ints has been cleared.  Right-hand sides are
-    reduced by `Contraction.split`, which runs the same elimination
-    (`_eliminate`) on them.
+    column.  Right-hand sides are reduced by `Contraction.split`, which
+    runs the same elimination (`_eliminate`) on them.
 
-    The columns are {row: int}, and `__init__`, `add` and `kernel` take
-    them in the same units; each is copied without its zero entries.  The
+    The columns are {row: int}, and `__init__` and `add` take them in the
+    same units; each is copied without its zero entries.  The
     elimination is fraction-free.  A column u with entry x at the pivot
     row of a stored column v, whose entry there is p, becomes
     (p/g) u - (x/g) v with g = gcd(p, x), and its expression in the
     columns follows along.  A column is stored with its expression
     divided by their common content and signed so that its pivot entry,
-    at its largest row, is positive.  Every
-    vector is then a nonzero multiple of the one elimination over Q would
-    store, so the pivots and the kernel's lines are exactly those of it,
-    and no `Fraction` is made.  Which nonzero row is a column's pivot
-    changes none of the outputs.  The largest one leaves later D * d
-    columns with fewer entries at stored pivot rows than the smallest: a
-    fresh n=2 build applies 19,781 steps instead of 27,810.
+    at its largest row, is positive.  Every vector is then a nonzero
+    multiple of the one elimination over Q would store, so the pivots
+    and the kernel's lines are exactly those of it, and no `Fraction` is
+    made.  The pivots and the kernel do not depend on which nonzero row
+    is a column's pivot, but `Contraction` does: it reads the free
+    columns of the next map off the pivot rows, which are the largest
+    rows of the vectors in the span only when each pivot is its column's
+    largest row.  The largest row also leaves later D * d columns with
+    fewer entries at stored pivot rows than the smallest did: a fresh n=2
+    build applied 19,781 steps instead of 27,810 before the contraction
+    relied on it.
     """
 
     __slots__ = ("pivots", "kernel_ints", "_ncols", "_steps", "_where")
@@ -137,25 +142,6 @@ class LinSolver:
         self._steps.append((prow, vec, expr))
         self.pivots.append(idx)
         return True
-
-    def kernel(self, columns):
-        """The kernel vectors of the first len(columns) columns, which were
-        added as `columns`, as kernel_ints has them; it may have been cleared.
-
-        Only the dependent columns are reduced again.  The stored steps are
-        visited in storage order, and a dependent column is zero before the
-        first step stored after it, so each comes out as `add` left it.
-        """
-        pivots = set(self.pivots)
-        kernel = {}
-        for idx, col in enumerate(columns):
-            if idx not in pivots:
-                vec, expr = {r: v for r, v in col.items() if v}, {idx: 1}
-                self._eliminate(vec, expr)
-                if vec:
-                    raise ValueError(f"column {idx} is not the one stored")
-                kernel[idx] = _primitive(vec, expr, expr[idx])[1]
-        return kernel
 
     def _eliminate(self, vec, expr):
         """Reduce the integer vector vec against the stored columns, in place.
@@ -225,14 +211,14 @@ class Contraction:
     d_in and d_out are the columns of scale * d into and out of the
     degree, and harmonic its cohomology representatives, each given as
     integer terms over a denominator, ({row: int}, den).  A vector x is
-    projected onto ker(d_out) along the standard basis vectors at d_out's
-    pivot columns (the complement), and that cycle is written as
+    written as
 
         x = sum_a alpha_a harmonic_a + sum_j c_j d_in_j + complement
 
-    with c_j = 0 at d_in's dependent columns.  p(x) is the list of the
-    alpha_a, and functional(a) is the one place that computes it.
-    split(vec, den) takes x as an integer vector over den and returns
+    with the complement spanned by the standard basis vectors at d_out's
+    pivot columns and c_j = 0 at d_in's dependent columns.  p(x) is the
+    list of the alpha_a, and functional(a) is the one place that computes
+    it.  split(vec, den) takes x as an integer vector over den and returns
     (pre, pre_den): h(x) one degree down as pre / pre_den keyed by d_in
     column, pre[j] / pre_den = scale * c_j.  Then p i = 1,
     d h + h d = 1 - i p and h i = p h = h h = 0 hold by construction
@@ -240,13 +226,18 @@ class Contraction:
 
     All columns are {row: int}, and scale is the one factor between them
     and d.  One solver, `solver`, eliminates d_in and then the harmonic
-    columns.  With the harmonic columns last, d_in's pivots are those of
+    columns; with the harmonic columns last, d_in's pivots are those of
     d_in alone, and since the decomposition above is unique the order
-    changes neither h nor p.  The degree one down, whose
-    d_out is this d_in, may pass `solver` as its `out` instead of
-    eliminating the same map again: only out's first len(d_out) columns
-    are read, and their kernel is rebuilt from its steps.  Without `out`,
-    d_out is eliminated here for its kernel and then dropped.
+    changes neither h nor p.  Its columns span ker(d_out), and every stored column's
+    pivot is its largest row, so its pivot rows are the largest rows of
+    the vectors of ker(d_out): exactly d_out's free columns.  So
+    eliminating x in `solver` leaves a remainder on d_out's pivot
+    columns, the complement, and no kernel of d_out is built or kept.
+    The rank check is that identity: d_out's pivot columns are the rows
+    that are not pivot rows of `solver`.  Without `out`, those columns of
+    d_out are eliminated here, and all of them must be independent.  The
+    degree one down, whose d_out is this d_in, may pass `solver` as its
+    `out` instead: its pivots below len(d_out) are then compared.
 
     functional(a) gives alpha_a as one exact row: zero at d_out's pivot
     columns, zero on every d_in column and 1 on harmonic_a, so that
@@ -254,14 +245,12 @@ class Contraction:
     one back-substitution over the solver's stored steps.
 
     Raises ValueError when d_out d_in != 0, when a harmonic column is not
-    a cocycle, when one depends on the others or on the image, and when
-    their number is not the cohomology's dimension; split raises it when
-    the cycle part of x is outside their span, which the first check
-    rules out.
+    a cocycle, when one depends on the others or on the image, when
+    their number is not the cohomology's dimension, and when `out` has
+    other pivots than d_out.
     """
 
-    __slots__ = ("nharm", "scale", "solver", "_nin", "_hden", "_cycles",
-                 "_den", "_rows")
+    __slots__ = ("nharm", "scale", "solver", "_nin", "_hden", "_rows")
 
     def __init__(self, d_in, d_out, harmonic, scale, out=None):
         if any(compose(d_out, d_in)):
@@ -273,19 +262,23 @@ class Contraction:
         self._nin = len(d_in)
         self._hden = [den for _, den in harmonic]
         self.solver = solver = LinSolver(d_in)
-        rank_in = len(solver.pivots)
-        solver.kernel_ints.clear()  # d_in's kernel: out.kernel rebuilds it
+        solver.kernel_ints.clear()  # d_in's kernel is not read
         for terms, _ in harmonic:
             if not solver.add(terms):
                 raise ValueError("harmonic and image columns are dependent")
-        kernel = LinSolver(d_out).kernel_ints if out is None else out.kernel(d_out)
-        hdim = len(kernel) - rank_in
-        if hdim != nharm:
-            raise ValueError(
-                f"{nharm} harmonic columns for cohomology of rank {hdim}")
-        # (vec, mult): mult * vec is _den times the kernel vector normalized at f
-        self._den = den = lcm(*(vec[f] for f, vec in kernel.items()))
-        self._cycles = {f: (vec, den // vec[f]) for f, vec in kernel.items()}
+        free = solver._where  # pivot row -> step: d_out's free columns
+        rest = [j for j in range(len(d_out)) if j not in free]
+        if out is None:
+            ok = len(LinSolver([d_out[j] for j in rest]).pivots) == len(rest)
+        else:
+            ok = [j for j in out.pivots if j < len(d_out)] == rest
+        if not ok:
+            hdim = (len(d_out) - len(LinSolver(d_out).pivots)
+                    - len(solver.pivots) + nharm)
+            if hdim != nharm:
+                raise ValueError(
+                    f"{nharm} harmonic columns for cohomology of rank {hdim}")
+            raise ValueError("out's pivots are not those of d_out")
         self._rows = [None] * nharm  # functional(a), built on first use
 
     def functional(self, a=0):
@@ -296,16 +289,15 @@ class Contraction:
         added as den_a * harmonic_a.  Each step is zero at every earlier
         pivot row, so L[i][k] = vec_k[prow_i] is lower triangular and
         t = L^-1 y at the pivot rows; alpha_a(y) = psi . y with
-        L^T psi = g, solved by one pass over the steps in reverse.
-        split projects x to the cycle sum_f x_f kvec_f / kvec_f[f] over
-        d_out's free columns f, so row_f = psi . kvec_f / kvec_f[f].
+        L^T psi = g, solved by one pass over the steps in reverse.  psi
+        lives on the pivot rows, and x and its cycle part agree there, so
+        psi is the row.
         """
         hit = self._rows[a]
         if hit is None:
-            solver = self.solver
             hcol, hnum = self._nin + a, self._hden[a]
             psi, pden = {}, 1  # psi[prow] / pden
-            for prow, vec, expr in reversed(solver._steps):
+            for prow, vec, expr in reversed(self.solver._steps):
                 s = hnum * expr.get(hcol, 0) * pden
                 for r, v in vec.items():
                     if r in psi:  # only later steps' pivot rows are set
@@ -319,34 +311,21 @@ class Contraction:
                             psi[r] *= g
                         s *= g
                     psi[prow] = s // p
-            row = {}
-            for f, (kvec, mult) in self._cycles.items():
-                c = sum(v * psi[r] for r, v in kvec.items() if r in psi)
-                if c:
-                    row[f] = c * mult
-            den = pden * self._den
-            g = gcd(den, *row.values())
-            hit = self._rows[a] = ({f: c // g for f, c in row.items()}, den // g)
+            g = gcd(pden, *psi.values())
+            hit = self._rows[a] = ({r: c // g for r, c in psi.items()}, pden // g)
         return hit
 
     def split(self, vec, den):
         """h(x) of the vector x = {index: int} / den, den > 0, as (pre, pre_den).
 
         pre is {d_in column: int} over pre_den > 0, with
-        gcd(pre_den, *pre.values()) == 1.  The harmonic parts of the
-        decomposition are dropped: p(x) is read off `functional`.
+        gcd(pre_den, *pre.values()) == 1.  x is eliminated in `solver`,
+        and what remains lies on d_out's pivot columns, the complement,
+        which h drops; so do the harmonic parts: p(x) is read off
+        `functional`.
         """
-        cycles = self._cycles
-        cycle = {}
-        for f, c in vec.items():
-            hit = cycles.get(f)
-            if hit is not None and c:
-                kvec, mult = hit
-                _axpy(cycle, kvec, mult * c)
         combo = {}
-        m = self.solver._eliminate(cycle, combo) * den * self._den
-        if cycle:
-            raise ValueError("cycle failed to decompose")
+        m = self.solver._eliminate(dict(vec), combo) * den
         num = -self.scale
         nin = self._nin
         pre = {i: c * num for i, c in sorted(combo.items()) if i < nin}

@@ -183,8 +183,9 @@ class _Engine:
         D * d and the solver of that map come from.  When the piece one
         degree up has a record, they are its `below`, its index and its
         contraction's solver, which has eliminated the map already.
-        Otherwise both bases are enumerated and the contraction eliminates
-        the map itself and drops the solver.  The rest is shared.
+        Otherwise both bases are enumerated, and the contraction checks
+        its rank by eliminating the map's columns off its own pivot rows
+        and drops that solver.  The rest is shared.
         """
         hit = self._pieces.get(key)
         if hit is None:

@@ -420,21 +420,25 @@ _MODEL_REPEATED = [
     dict(_MODEL_HEAD, generators=[_GENERATOR], tables={"2": [_ROW, _ROW]}),
 ]
 # (subset, document): a generator listed twice, one with an index above
-# n+2 = 3, and ones recording a zdeg, qdeg or weight other than those of
-# their subset; the message names the subset
+# n+2 = 3, ones recording a zdeg, qdeg or weight other than those of
+# their subset, and ones whose qdeg or weight cannot be read; the message
+# names the subset
 _MODEL_BAD_GENERATOR = [
     ("[1]", dict(_MODEL_HEAD, generators=[_GENERATOR, _GENERATOR], tables={})),
     ("[9]", dict(_MODEL_HEAD, generators=[dict(_GENERATOR, subset=[9])],
                  tables={})),
     *(("[1]", dict(_MODEL_HEAD, generators=[dict(_GENERATOR, **bad)], tables={}))
-      for bad in ({"zdeg": 2}, {"qdeg": "2/3"}, {"weight": [5, 0, 0]})),
+      for bad in ({"zdeg": 2}, {"qdeg": "2/3"}, {"weight": [5, 0, 0]},
+                  {"weight": []}, {"qdeg": "abc"})),
 ]
-# (key, document): weights that are not rationals or are missing, and
-# fewer than n+2 auxiliary indices; the message names the key
+# (key, document): weights that are not rationals or are missing, fewer
+# than n+2 auxiliary indices, and one out of range; the message names the
+# key
 _MODEL_BAD_HEAD = [
     *(("weights", dict(_MODEL_HEAD, weights=bad, generators=[_GENERATOR],
                        tables={})) for bad in (["x", "y"], None)),
-    ("aux", dict(_MODEL_HEAD, aux=[2, 1], generators=[_GENERATOR], tables={})),
+    *(("aux", dict(_MODEL_HEAD, aux=bad, generators=[_GENERATOR], tables={}))
+      for bad in ([2, 1], [2, 4, 1])),
 ]
 
 

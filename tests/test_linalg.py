@@ -642,13 +642,19 @@ class TwoSolverContraction:
         return harm, pre, m // g
 
 
+def _pivot_rows(con):
+    """The pivot rows of the contraction's solver, ascending."""
+    return sorted(prow for prow, _, _ in con.solver._steps)
+
+
 def assert_matches_oracle(con, oracle, dim, rng):
-    """con and the two-solver oracle of the same degree agree: the same
-    kernel, the same h and p on every unit vector and on random integer
-    vectors over a denominator (con's p read off its functional), and the
-    same functional rows."""
+    """con and the two-solver oracle of the same degree agree: con's
+    solver's pivot rows are the oracle's free d_out columns, and both give
+    the same h and p on every unit vector and on random integer vectors
+    over a denominator (con's p read off its functional), and the same
+    functional rows."""
     assert con.nharm == oracle.nharm
-    assert (con._cycles, con._den) == (oracle._cycles, oracle._den)
+    assert _pivot_rows(con) == list(oracle._cycles)
     vecs = [({j: 1}, 1) for j in range(dim)] + [
         ({j: rng.randint(-9, 9) for j in rng.sample(range(dim), min(dim, 6))},
          rng.randint(1, 12))
@@ -662,13 +668,9 @@ def assert_matches_oracle(con, oracle, dim, rng):
         assert con.functional(a) == oracle.functional(a)
 
 
-@pytest.mark.parametrize("seed, dims, rank", [
-    (7, (3, 4, 2), 2), (5, (6, 14, 5), 6), (23, (9, 14, 3), 9),
-])
-def test_contraction_matches_two_solver_oracle(seed, dims, rank):
-    # every degree of a random complex, contracted with its own d_out
-    # solver (bottom up) and with the solver of the degree above (top down)
-    rng = random.Random(seed)
+def _degrees(seed, dims, rank):
+    """(dims, degrees) of a random complex padded by a zero space at each
+    end, with (d_in, d_out, harmonic) per degree."""
     dims, maps = _random_complex(seed, dims, rank)
     maps = [[]] + maps + [[{}] * dims[-1]]
     dims = [0] + dims + [0]
@@ -679,6 +681,67 @@ def test_contraction_matches_two_solver_oracle(seed, dims, rank):
         harmonic = _pick_harmonic(
             d_in, list(_kernel(LinSolver(_cleared(d_out)[0])).values()))
         degrees.append((d_in, d_out, harmonic))
+    return dims, degrees
+
+
+COMPLEXES = [(7, (3, 4, 2), 2), (5, (6, 14, 5), 6), (23, (9, 14, 3), 9),
+             (31, (4, 12, 10), 4)]
+
+
+@pytest.mark.parametrize("seed, dims, rank", COMPLEXES)
+def test_split_off_the_kernel_matches_oracle(seed, dims, rank):
+    # x with d_out x != 0: split eliminates x itself and drops what is left
+    # on d_out's pivot columns, while the oracle first projects x onto
+    # ker(d_out); both give the same h.  A vector on d_out's pivot columns
+    # alone lies in the complement, so its h is 0
+    rng = random.Random(seed)
+    dims, degrees = _degrees(seed, dims, rank)
+    tested = 0
+    out = None
+    for k in reversed(range(len(dims))):
+        d_in, d_out, harmonic = degrees[k]
+        oracle = TwoSolverContraction(d_in, d_out, harmonic, 1)
+        cons = (_contract(d_in, d_out, harmonic),
+                _contract(d_in, d_out, harmonic, out))
+        for _ in range(12):
+            vec = {j: rng.randint(-9, 9) for j in range(dims[k])}
+            den = rng.randint(1, 12)
+            if any(compose(d_out, [vec])):
+                tested += 1
+                want = oracle.split(vec, den)[1:]
+                assert [con.split(vec, den) for con in cons] == [want, want]
+        rest = [j for j in range(dims[k]) if j not in oracle._cycles]
+        vec = {j: rng.randint(1, 9) for j in rest}
+        assert [con.split(vec, 1) for con in cons] == [({}, 1), ({}, 1)]
+        out = cons[1].solver
+    assert tested > 10
+
+
+def test_contraction_rejects_an_out_of_another_map():
+    # out must be the solver of d_out, the d_in of the degree above; one
+    # built from another map of the same length has other pivots, and the
+    # contraction raises instead of reading d_out's free columns off it
+    _, degrees = _degrees(5, (6, 14, 5), 6)
+    raised = 0
+    for d_in, d_out, harmonic in degrees:
+        cleared = _cleared(d_out)[0]
+        _contract(d_in, d_out, harmonic, LinSolver(cleared))  # the right one
+        pivots = LinSolver(cleared).pivots
+        for other in ([{}] * len(d_out), _identity(len(d_out)), cleared[::-1]):
+            if LinSolver(other).pivots != pivots:
+                raised += 1
+                with pytest.raises(ValueError, match="out's pivots are not"):
+                    _contract(d_in, d_out, harmonic, LinSolver(other))
+    assert raised >= 4
+
+
+@pytest.mark.parametrize("seed, dims, rank", COMPLEXES)
+def test_contraction_matches_two_solver_oracle(seed, dims, rank):
+    # every degree of a random complex, contracted with its own d_out
+    # solver and with the solver of the degree above (top down): the
+    # solver's pivot rows are d_out's free columns either way
+    rng = random.Random(seed)
+    dims, degrees = _degrees(seed, dims, rank)
     out = None
     for k in reversed(range(len(dims))):
         d_in, d_out, harmonic = degrees[k]
@@ -708,41 +771,24 @@ def test_zero_entries_are_dropped_at_input(seed, dims, rank):
         want, got = LinSolver(m), LinSolver(p)
         assert (got.pivots, got.kernel_ints, got._steps) == (
             want.pivots, want.kernel_ints, want._steps)
-        got.kernel_ints.clear()
-        assert got.kernel(p) == want.kernel_ints
     assert homology_ranks(dims, padded) == homology_ranks(dims, maps)
     # the middle degree, its d_out eliminated here or read off a solver of
     # the degree above
     kernel = list(_kernel(LinSolver(maps[1])).values())
-    harmonic = [_int_vector(h) for h in _pick_harmonic(maps[0], kernel)]
+    harmonic = _pick_harmonic(maps[0], kernel)
+    free = list(TwoSolverContraction(maps[0], maps[1], harmonic, 1)._cycles)
+    harmonic = [_int_vector(h) for h in harmonic]
     want = Contraction(maps[0], maps[1], harmonic, 1)
+    assert _pivot_rows(want) == free
     harmonic = [({r: h.get(r, 0) for r in range(dims[1])}, den)
                 for h, den in harmonic]
     for out in (None, LinSolver(padded[1])):
         got = Contraction(padded[0], padded[1], harmonic, 1, out)
-        assert (got._cycles, got._den) == (want._cycles, want._den)
+        assert _pivot_rows(got) == free
         for j in range(dims[1]):
             assert got.split({j: 1}, 1) == want.split({j: 1}, 1)
         assert [got.functional(a) for a in range(got.nharm)] == [
             want.functional(a) for a in range(want.nharm)]
-
-
-def test_linsolver_kernel_rebuilds_a_cleared_kernel():
-    rng = random.Random(3)
-    for _ in range(20):
-        cols = _cleared(_random_dependent_columns(rng, 6, 9))[0]
-        solver = LinSolver(cols)
-        want = dict(solver.kernel_ints)
-        solver.kernel_ints.clear()
-        solver.add({r: 1 for r in range(6)})  # a later column is not read
-        assert solver.kernel(cols) == want
-        # a column other than the one stored does not reduce to zero
-        if want:
-            j = next(iter(want))
-            bad = list(cols)
-            bad[j] = {r: 1 for r in range(7)}
-            with pytest.raises(ValueError, match=f"column {j} is not"):
-                solver.kernel(bad)
 
 
 def test_linsolver_roundtrip():

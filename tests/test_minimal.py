@@ -689,8 +689,9 @@ def test_exterior_label_matches_scan():
 def test_piece_contractions_match_two_solver_oracle(cfg, arities, scale):
     # every piece of the build, whether it reused the solver of the piece
     # above or eliminated its outgoing map itself, against the two-solver
-    # contraction of the same maps: the same kernel, the same split on
-    # unit and random vectors, the same functional rows
+    # contraction of the same maps: its solver's pivot rows are the
+    # oracle's free d_out columns, and the same split on unit and random
+    # vectors, the same functional rows
     eng, maps, _ = _built_engine(cfg, arities)
     rng = random.Random(cfg.n)
     for key, (con, _, index, _) in eng._pieces.items():
