@@ -633,20 +633,6 @@ def hkr_dim(n, r, t):
     return 0
 
 
-def exterior_residue_dims(n):
-    """Number of subsets of [n+2] per cardinality residue mod n+2.
-
-    Residue 0 collects the empty and the full subset; this is the block
-    dimension pattern of the smash with Z_{n+2} through the coordinate
-    sum map.
-    """
-    n2 = n + 2
-    out = {r: 0 for r in range(n2)}
-    for mask in range(1 << n2):
-        out[size(mask) % n2] += 1
-    return out
-
-
 def from_minimal_model(model):
     """Wrap transferred tables as a FiniteAInftyAlgebra on subset masks."""
     n = model.n

@@ -6,16 +6,17 @@ and a one-line summary on stderr.  Exit status: 0 when every requested
 check passes, 1 when a check fails, 2 on usage or precondition errors,
 3 on an internal error (an invariant of the computation failed, or any
 other unexpected exception).
-Exact rationals are rendered "num/den"; the float-based geometric
-checks (coamoeba, morse) take --tolerance and report it.  Nothing is
-sampled: mf-check decides d^2 = 0 on every Clifford monomial.  Checks
-run sequentially in a fixed order.
+Exact rationals are rendered "num/den", and every check is decided
+exactly: coamoeba takes angles as rational fractions of a turn, morse
+certifies its zero gradients on the rational critical points, and
+mf-check decides d^2 = 0 on every Clifford monomial.  Floats remain only
+in the sampled Morse profile, which no command runs.  Checks run
+sequentially in a fixed order.
 """
 
 import argparse
 import hashlib
 import json
-import math
 import sys
 import time
 from fractions import Fraction
@@ -51,7 +52,6 @@ from .pants import (
     PearlLabel,
     PearlTreeLabeling,
     coamoeba_classify,
-    gradient_f,
     morse_data,
     pearl_degree,
     validate_pearl_labels,
@@ -100,11 +100,15 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _parse_rationals(text):
+def _parse_rationals(text, option, number=Fraction):
+    """The comma separated numbers of text; a bad one is a usage error
+    whose message starts with the option's name."""
     try:
-        return tuple(Fraction(tok) for tok in text.split(","))
+        return tuple(number(tok) for tok in text.split(","))
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+        raise ValueError(f"{option}: zero denominator in {text!r}") from None
+    except ValueError as exc:
+        raise ValueError(f"{option}: {exc}") from None
 
 
 def _require_keys(obj, keys, what):
@@ -285,13 +289,14 @@ def _cmd_mf_check(args):
 
 
 def _cmd_minimal_model(args):
-    weights = _parse_rationals(args.a_weights) if args.a_weights else None
+    weights = (_parse_rationals(args.a_weights, "--a-weights")
+               if args.a_weights else None)
     n = args.n
     cfg = MFConfig(n, weights)
     choice = CohomologyBasisChoice.default(n)
     if args.dbar_aux:
-        aux = [int(s) for s in args.dbar_aux.split(",")]
-        choice = _choice(aux, cfg.nvars, "--dbar-aux")
+        aux = _parse_rationals(args.dbar_aux, "--dbar-aux", int)
+        choice = _choice(list(aux), cfg.nvars, "--dbar-aux")
     top = args.max_arity if args.max_arity is not None else n + 2
     if top < 2:
         raise ValueError("max arity must be at least 2")
@@ -389,45 +394,45 @@ def _cmd_zonotope(args):
 
 
 def _cmd_coamoeba(args):
-    theta = [float(tok) for tok in args.theta.split(",")]
-    if not all(map(math.isfinite, theta)):
-        raise ValueError("angles must be finite")
-    label = coamoeba_classify(theta, tol=args.tolerance)
+    turns = _parse_rationals(args.turns, "--turns")
     return {
-        "theta": theta,
-        "classification": label,
-        "tolerance": args.tolerance,
+        "turns": [_rat(t) for t in turns],
+        "classification": coamoeba_classify(turns),
     }, True
 
 
 def _cmd_morse(args):
+    """The gradient vanishes exactly at a point x whose coordinates take
+    one value on K and another off K: x sums to zero (MorseCriticalPoint
+    enforces it), and so do the mean-subtracted slopes f of any profile
+    g, which are constant on K and off K too.  Those vectors form a line,
+    so f is a multiple of x and its projection to the sphere is 0."""
     points = morse_data(args.n)
     n2 = args.n + 2
     histogram = [0] * (args.n + 1)
     rows = []
-    norms_ok = True
+    zero = True
     for pt in points:
-        grad = gradient_f(list(pt.unit_coordinates()))
-        norm = sum(g * g for g in grad) ** 0.5
-        norms_ok = norms_ok and norm < args.tolerance
+        on_k = {c for i, c in enumerate(pt.coords) if pt.kmask >> i & 1}
+        off_k = {c for i, c in enumerate(pt.coords) if not pt.kmask >> i & 1}
+        zero = zero and len(on_k) == len(off_k) == 1 and on_k != off_k
         histogram[pt.index] += 1
         rows.append(
             {
                 "subset": _subset(pt.kmask),
                 "coords": [_rat(c) for c in pt.coords],
                 "index": pt.index,
-                "gradient_norm": norm,
             }
         )
     expected = [comb(n2, args.n + 1 - m) for m in range(args.n + 1)]
-    ok = len(points) == 2 ** n2 - 2 and histogram == expected and norms_ok
+    ok = len(points) == 2 ** n2 - 2 and histogram == expected and zero
     return {
         "critical_points": rows,
         "count": len(points),
         "expected_count": 2 ** n2 - 2,
         "index_histogram": histogram,
         "expected_histogram": expected,
-        "tolerance": args.tolerance,
+        "gradient_zero_exactly": zero,
         "pass": ok,
     }, ok
 
@@ -484,7 +489,7 @@ def _cmd_validate_labels(args):
 
 
 def _cmd_rnc(args):
-    target = _parse_rationals(args.pphi)
+    target = _parse_rationals(args.pphi, "--pphi")
     curve = solve_nodes(args.n, target)
     n = args.n
     interpolation = all(
@@ -599,22 +604,7 @@ _HANDLERS = {
 }
 
 
-def _tolerance(text):
-    value = float(text)
-    if not 0 <= value < float("inf"):
-        raise argparse.ArgumentTypeError("tolerance must be finite and >= 0")
-    return value
-
-
 def _build_parser():
-    tolerance = argparse.ArgumentParser(add_help=False)
-    tolerance.add_argument(
-        "--tolerance",
-        type=_tolerance,
-        default=1e-9,
-        help="tolerance for float-based geometric checks",
-    )
-
     parser = argparse.ArgumentParser(
         prog="koszulmf",
         description="exact checks for the product-of-variables factorization",
@@ -640,11 +630,12 @@ def _build_parser():
     p = sub.add_parser("zonotope")
     p.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("coamoeba", parents=[tolerance])
-    p.add_argument("--theta", required=True,
-                   help="comma separated angles in radians")
+    p = sub.add_parser("coamoeba")
+    p.add_argument("--turns", required=True,
+                   help="comma separated angles as rational fractions of a "
+                        "full turn, e.g. 1/2,0,0")
 
-    p = sub.add_parser("morse", parents=[tolerance])
+    p = sub.add_parser("morse")
     p.add_argument("--n", type=int, required=True)
 
     p = sub.add_parser("pearl-degree")

@@ -101,14 +101,6 @@ def fractional_grading(mask, n):
     return Fraction(n * size(mask), n + 2)
 
 
-def cover_residue(u, n):
-    """Residue of a lattice vector under the covering map, mod n+2.
-
-    Well defined on classes in M because (1,...,1) sums to n+2.
-    """
-    return sum(int(x) for x in u) % (n + 2)
-
-
 def homogeneity_defect(k0, inputs, n):
     """The q >= 0 with sum_j e_{K_j} = e_{K_0} + q(1,...,1), else None.
 

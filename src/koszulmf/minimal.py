@@ -109,8 +109,6 @@ def dbar(j, choice, cfg):
     if not 1 <= j <= n2:
         raise ValueError(f"index {j} out of range")
     k = choice.aux[j - 1]
-    if k == j:
-        raise BadChoice(f"auxiliary index for {j} must differ from {j}")
     scale = delta_terms(cfg)[0]
     a = tuple(0 if i + 1 in (j, k) else 1 for i in range(n2))
     return _reduced({
@@ -225,10 +223,7 @@ class _Engine:
         h does to it.
         """
         con, _, index, below = self.piece(key)
-        try:
-            pre, pre_den = con.split({index[m]: c for m, c in terms.items()}, den)
-        except ValueError as exc:
-            raise RuntimeError(f"piece {key}: {exc}") from exc
+        pre, pre_den = con.split({index[m]: c for m, c in terms.items()}, den)
         return {below[src]: c for src, c in pre.items()}, pre_den
 
     # -- transfer tree sum --------------------------------------------
@@ -402,7 +397,6 @@ class MinimalModel:
 
     cfg: MFConfig
     choice: CohomologyBasisChoice
-    arity_bound: int
     tables: dict
 
     @property
@@ -461,7 +455,7 @@ def build_minimal_model(cfg, choice=None, arities=None, arity_bound=None):
                 ).items():
                     table[(k0, tup)] = coef
         tables[k] = table
-    return MinimalModel(cfg, choice, bound, tables)
+    return MinimalModel(cfg, choice, tables)
 
 
 def obstruction_class(model):

@@ -5,12 +5,13 @@ diagonal) is a polyhedral n-sphere.  Its cells are indexed by ordered
 partitions (J, K, L) of {1, ..., n+2} with J, K nonempty: the theta_j
 are pinned to 0 on J, to 1 on K, and range over [0,1] on L, so the cell
 dimension is |L|.  This module builds that complex with exact boundary
-matrices, classifies angle tuples against the coamoeba, produces the
-critical point data of the symmetric Morse function used to perturb the
-real locus, and evaluates the degree formula for pearl configurations.
+matrices, classifies angle tuples (exact fractions of a turn) against the
+coamoeba, produces the critical point data of the symmetric Morse
+function used to perturb the real locus, and evaluates the degree
+formula for pearl configurations.
 
-Floating point appears only here (angles, gradients); everything that
-feeds the algebra stays rational.
+Floating point appears only in the sampled Morse profile (`GParams`,
+`gradient_f`, `unit_coordinates`); everything else is rational.
 """
 
 from __future__ import annotations
@@ -18,12 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import cosh, pi
+from math import cosh
 
 from .lattice import e_vec, elements, full_mask, size
 from .linalg import compose
 
 ONE = Fraction(1)
+HALF = Fraction(1, 2)
 
 
 class BadG(ValueError):
@@ -104,20 +106,21 @@ def zonotope_complex(n):
     return maps, cells
 
 
-def coamoeba_classify(theta, tol=1e-9):
+def coamoeba_classify(turns):
     """Position of an angle tuple relative to the open zonotope image.
 
-    The tuple is outside it exactly when all angles fit in an open
-    half-circle, i.e. the largest circular gap exceeds pi; a largest gap
-    of exactly pi means the boundary.
+    Angles are exact fractions of a full turn.  The tuple is outside the
+    image exactly when all angles fit in an open half-turn, i.e. the
+    largest circular gap exceeds 1/2; a largest gap of exactly 1/2 means
+    the boundary.
     """
-    angles = sorted(a % (2 * pi) for a in theta)
-    gap = angles[0] + 2 * pi - angles[-1]
+    angles = sorted(Fraction(t) % 1 for t in turns)
+    gap = angles[0] + 1 - angles[-1]
     for prev, cur in zip(angles, angles[1:]):
         gap = max(gap, cur - prev)
-    if gap > pi + tol:
+    if gap > HALF:
         return "outside"
-    if gap >= pi - tol:
+    if gap == HALF:
         return "boundary"
     return "interior"
 
@@ -154,27 +157,6 @@ def morse_data(n):
         )
         out.append(MorseCriticalPoint(kmask, coords, n + 1 - inside))
     return out
-
-
-def stable_unstable_membership(x, kmask, tol=1e-9):
-    """Whether x lies on the stable / unstable manifold of the critical
-    point of the given subset: the argmin set must equal K, the argmax
-    set its complement (ties within tol)."""
-    n2 = len(x)
-    if abs(sum(x)) > tol * n2:
-        raise ValueError("point must lie on the sum-zero slice")
-    if abs(sum(v * v for v in x) - 1.0) > tol * n2:
-        raise ValueError("point must lie on the unit sphere")
-    lo, hi = min(x), max(x)
-    argmin = 0
-    argmax = 0
-    for i, v in enumerate(x):
-        if v <= lo + tol:
-            argmin |= 1 << i
-        if v >= hi - tol:
-            argmax |= 1 << i
-    full = (1 << n2) - 1
-    return argmin == kmask, argmax == full ^ kmask
 
 
 @dataclass(frozen=True)

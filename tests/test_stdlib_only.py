@@ -52,3 +52,22 @@ def test_linalg_is_integer_only():
     for line, attr in attrs:
         assert attr not in ("numerator", "denominator"), (
             f"linalg.py:{line} reads .{attr}")
+
+
+def test_no_function_takes_a_tolerance():
+    # every reported check is decided exactly; a float tolerance would
+    # let a wrong answer through as "close enough"
+    checked = 0
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.Lambda)):
+                continue
+            checked += 1
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [
+                p for p in (a.vararg, a.kwarg) if p]
+            for p in params:
+                assert p.arg not in ("tol", "tolerance"), (
+                    f"{path.name}:{node.lineno} takes {p.arg}")
+    assert checked > 100  # the walker reached every module

@@ -13,9 +13,6 @@ from koszulmf.weyl import (
     clifford_product,
     decode,
     delta_terms,
-    mono_parity,
-    mono_qdeg_num,
-    mono_weight,
     monomial,
     multiply_into,
     scaled_differential,
@@ -26,6 +23,9 @@ from operator_oracle import (
     OperatorElement,
     delta,
     differential,
+    mono_parity,
+    mono_qdeg_num,
+    mono_weight,
     packed,
     reference_multiply,
     unpacked,
