@@ -290,11 +290,11 @@ def _cmd_mf_check(args):
 
 def _cmd_minimal_model(args):
     weights = (_parse_rationals(args.a_weights, "--a-weights")
-               if args.a_weights else None)
+               if args.a_weights is not None else None)
     n = args.n
     cfg = MFConfig(n, weights)
     choice = CohomologyBasisChoice.default(n)
-    if args.dbar_aux:
+    if args.dbar_aux is not None:
         aux = _parse_rationals(args.dbar_aux, "--dbar-aux", int)
         choice = _choice(list(aux), cfg.nvars, "--dbar-aux")
     top = args.max_arity if args.max_arity is not None else n + 2

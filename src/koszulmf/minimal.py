@@ -342,7 +342,12 @@ def _engine(cfg, choice):
 
 @lru_cache(maxsize=16)
 def _cached_engine(cfg, choice):
-    """Engines by (cfg, choice), at most 16; cache_info() reports how many."""
+    """Engines by (cfg, choice), at most 16; cache_info() reports how many.
+
+    An engine keeps its pieces and blocks between `minimal_mu` calls, and
+    `build_minimal_model` empties them when it returns or raises; the
+    engine itself stays, with its configuration and choice.
+    """
     return _Engine(cfg, choice)
 
 
@@ -436,25 +441,37 @@ def build_minimal_model(cfg, choice=None, arities=None, arity_bound=None):
     By default only the graded arities k = 2 + n q up to n+2 are
     tabulated (the product and the versal arity); pass an explicit
     arities list for more.
+
+    Every entry comes from one `minimal_mu` call per admissible tuple,
+    on the shared engine of (cfg, choice).  When the build returns or
+    raises it empties that engine's pieces and blocks: the tables hold
+    all that the build needs of them.
     """
     n = cfg.n
     bound = arity_bound if arity_bound is not None else 2 * n + 4
-    choice = _engine(cfg, choice).choice
+    eng = _engine(cfg, choice)
+    choice = eng.choice
     if arities is None:
         arities = [k for k in (2 + n * q for q in range(n + 1)) if k <= n + 2]
     tables = {}
-    for k in sorted(set(arities)):
-        if not 2 <= k <= bound:
-            raise ArityBound(f"arity {k} outside [2, {bound}]")
-        table = {}
-        q, rem = divmod(k - 2, n)
-        if rem == 0:
-            for tup in admissible_tuples(n, k, q):
-                for k0, coef in minimal_mu(
-                    k, tup, cfg, choice, arity_bound=bound
-                ).items():
-                    table[(k0, tup)] = coef
-        tables[k] = table
+    try:
+        for k in sorted(set(arities)):
+            if not 2 <= k <= bound:
+                raise ArityBound(f"arity {k} outside [2, {bound}]")
+            table = {}
+            q, rem = divmod(k - 2, n)
+            if rem == 0:
+                for tup in admissible_tuples(n, k, q):
+                    for k0, coef in minimal_mu(
+                        k, tup, cfg, choice, arity_bound=bound
+                    ).items():
+                        table[(k0, tup)] = coef
+            tables[k] = table
+    finally:
+        # the tables hold every value the pieces and blocks served; what
+        # follows a build (Stasheff, reports) reuses their memory
+        eng._pieces.clear()
+        eng._blocks.clear()
     return MinimalModel(cfg, choice, tables)
 
 

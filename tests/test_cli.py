@@ -101,6 +101,9 @@ def test_usage_and_precondition_errors(capsys):
          "--a-weights"),
         (["minimal-model", "--n", "1", "--dbar-aux", "x,1,1"], "--dbar-aux"),
         (["minimal-model", "--n", "1", "--dbar-aux", "2,1"], "--dbar-aux"),
+        # an empty list is not the default
+        (["minimal-model", "--n", "1", "--a-weights", ""], "--a-weights"),
+        (["minimal-model", "--n", "1", "--dbar-aux", ""], "--dbar-aux"),
         (["coamoeba", "--turns", "nan,0,0"], "--turns"),
         (["coamoeba", "--turns", "1/0,0,0"], "--turns"),
     ):

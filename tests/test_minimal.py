@@ -814,6 +814,62 @@ def test_table_digest_weighted():
     )
 
 
+def test_build_empties_its_engine(monkeypatch):
+    # the build calls the module's minimal_mu once per admissible tuple,
+    # and on return its engine, still the cached one, holds no piece and
+    # no block
+    cfg = MFConfig(2)
+    eng = _engine(cfg, None)
+    minimal_mu(2, (0b0001, 0b0010), cfg)
+    assert eng._pieces and eng._blocks
+    calls = {}
+    real = minimal.minimal_mu
+
+    def counted(k, inputs, *args, **kwargs):
+        calls.setdefault(k, []).append(inputs)
+        return real(k, inputs, *args, **kwargs)
+
+    monkeypatch.setattr(minimal, "minimal_mu", counted)
+    model = build_minimal_model(cfg)
+    assert sorted(model.tables) == sorted(calls) == [2, 4]
+    for k, tups in calls.items():
+        assert tups == admissible_tuples(2, k, (k - 2) // 2)
+    assert _engine(cfg, None) is eng
+    assert eng._pieces == {} and eng._blocks == {}
+
+
+def test_build_empties_its_engine_when_it_raises(monkeypatch):
+    cfg = MFConfig(1)
+    eng = _engine(cfg, None)
+    real = minimal.minimal_mu
+    seen = []
+
+    def failing(k, inputs, *args, **kwargs):
+        if k == 3:  # mid-sweep: arity 2 is done
+            seen.append((len(eng._pieces), len(eng._blocks)))
+            raise RuntimeError("injected")
+        return real(k, inputs, *args, **kwargs)
+
+    monkeypatch.setattr(minimal, "minimal_mu", failing)
+    with pytest.raises(RuntimeError, match="injected"):
+        build_minimal_model(cfg, arities=(2, 3, 4))
+    assert seen and all(seen[0])  # the engine was full when it raised
+    assert eng._pieces == {} and eng._blocks == {}
+
+
+def test_build_after_a_build_and_mu_after_a_build(model_n1):
+    # an emptied engine rebuilds what it needs: a second build and a
+    # minimal_mu call after it give the tables' values
+    cfg = MFConfig(1)
+    model = build_minimal_model(cfg, arities=(2, 3, 4))
+    assert table_digest(model) == table_digest(model_n1) == (
+        "38761b15426359aa1ca3e11edf365094e986c2d65fe075565f5d14d623a8125e"
+    )
+    assert model.tables[4]
+    for (k0, tup), coef in model.tables[4].items():
+        assert minimal_mu(4, tup, cfg) == {k0: coef}
+
+
 def test_model_tables_satisfy_grading(model_n1):
     n = model_n1.n
     for k, table in model_n1.tables.items():

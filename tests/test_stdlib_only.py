@@ -71,3 +71,39 @@ def test_no_function_takes_a_tolerance():
                 assert p.arg not in ("tol", "tolerance"), (
                     f"{path.name}:{node.lineno} takes {p.arg}")
     assert checked > 100  # the walker reached every module
+
+
+def test_every_lru_cache_has_an_int_bound():
+    # caches have bounds: every lru_cache is called with an integer
+    # maxsize, and functools.cache, which has none, is not used
+    bounded = 0
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        called = set()
+        for node in ast.walk(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                assert all(a.name != "cache" for a in node.names), where
+            elif (isinstance(node, ast.Attribute) and node.attr == "cache"
+                  and getattr(node.value, "id", None) == "functools"):
+                raise AssertionError(f"{where} uses functools.cache")
+            elif isinstance(node, ast.Call) and _named(node.func, "lru_cache"):
+                sizes = node.args + [kw.value for kw in node.keywords
+                                     if kw.arg == "maxsize"]
+                assert len(sizes) == 1, f"{where}: lru_cache without maxsize"
+                assert (isinstance(sizes[0], ast.Constant)
+                        and type(sizes[0].value) is int), (
+                    f"{where}: maxsize is not an integer")
+                called.add(node.func)
+                bounded += 1
+        for node in ast.walk(tree):
+            if _named(node, "lru_cache") and node not in called:
+                raise AssertionError(
+                    f"{path.name}:{node.lineno} uses lru_cache uncalled")
+    assert bounded == 8  # the walker reached every cache
+
+
+def _named(node, name):
+    """Whether node is the name or the attribute `name`."""
+    return (isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name)
