@@ -468,8 +468,7 @@ def build_minimal_model(cfg, choice=None, arities=None, arity_bound=None):
                         table[(k0, tup)] = coef
             tables[k] = table
     finally:
-        # the tables hold every value the pieces and blocks served; what
-        # follows a build (Stasheff, reports) reuses their memory
+        # what follows a build (Stasheff, reports) reuses their memory
         eng._pieces.clear()
         eng._blocks.clear()
     return MinimalModel(cfg, choice, tables)
